@@ -2,12 +2,9 @@
 //!
 //! Simulates a fleet of concurrent tenants (default 1200) multiplexed
 //! over a handful of pipelined connections and measures serving
-//! throughput and tail latency in three scenarios:
+//! throughput and tail latency in two scenarios:
 //!
-//! - `steady_coalesced` — every tenant predicts against the shared base
-//!   snapshot with micro-batch coalescing on (the production setting);
-//! - `steady_uncoalesced` — identical traffic with `batch_max = 1`, the
-//!   coalescing ablation;
+//! - `steady` — every tenant predicts against the shared base snapshot;
 //! - `enrolment_storm` — 10% of the fleet drifts at once (held-out-domain
 //!   windows streamed as labelled ingests) while the rest keep
 //!   predicting; reported latencies are the *steady* tenants' predicts —
@@ -29,15 +26,12 @@
 
 use std::collections::HashMap;
 use std::net::TcpListener;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 use smore_data::Dataset;
 use smore_obs::{AtomicHistogram, EventJournal, HistogramSnapshot};
-use smore_serve::{
-    serve, synthetic, ErrorCode, Response, ServeClient, ServeConfig, ServerMetrics, StatsSnapshot,
-};
+use smore_serve::{serve, synthetic, ErrorCode, Response, ServeClient, ServeConfig, StatsSnapshot};
 use smore_stream::ServeEngine;
 use smore_tensor::Matrix;
 
@@ -277,15 +271,12 @@ fn quantile_ms(snap: &HistogramSnapshot, q: f64) -> f64 {
 
 struct ScenarioResult {
     name: &'static str,
-    batch_max: usize,
     requests: usize,
     wall_secs: f64,
     p50_ms: f64,
     p95_ms: f64,
     p99_ms: f64,
     overloaded: u64,
-    coalesced_batches: u64,
-    coalesced_windows: u64,
     adaptations: u64,
     /// The server's per-stage latency histograms at scenario end
     /// (nanoseconds), scraped from its telemetry registry.
@@ -295,34 +286,26 @@ struct ScenarioResult {
 impl ScenarioResult {
     fn from_stats(
         name: &'static str,
-        batch_max: usize,
         stats: &ConnStats,
         hists: &LatencyHists,
         wall_secs: f64,
-        metrics: Option<&ServerMetrics>,
-        server_stats: Option<&StatsSnapshot>,
+        server_stats: &StatsSnapshot,
     ) -> Self {
         // Storm reports the steady tenants' predict tail; steady scenarios
         // have no ingests at all.
         let predict = hists.predict.snapshot();
         let ingest = hists.ingest.snapshot();
         let requests = (predict.count + ingest.count) as usize;
-        // ordering: Relaxed — post-run scrape; the worker joins already
-        // ordered every counter bump before this read.
-        let load = |c: &std::sync::atomic::AtomicU64| c.load(Ordering::Relaxed);
         Self {
             name,
-            batch_max,
             requests,
             wall_secs,
             p50_ms: quantile_ms(&predict, 0.50),
             p95_ms: quantile_ms(&predict, 0.95),
             p99_ms: quantile_ms(&predict, 0.99),
             overloaded: stats.overloaded,
-            coalesced_batches: metrics.map_or(0, |m| load(&m.coalesced_batches)),
-            coalesced_windows: metrics.map_or(0, |m| load(&m.coalesced_windows)),
-            adaptations: metrics.map_or(0, |m| load(&m.adaptations)),
-            stages: server_stats.map_or_else(Vec::new, |s| s.stages.clone()),
+            adaptations: server_stats.counter("adaptations").unwrap_or(0),
+            stages: server_stats.stages.clone(),
         }
     }
 
@@ -333,7 +316,7 @@ impl ScenarioResult {
     fn report(&self) {
         println!(
             "  {:<20} {:>6} req in {:>6.2}s = {:>8.0} req/s | predict p50 {:>7.3} ms  \
-             p95 {:>7.3} ms  p99 {:>7.3} ms | overloaded {} | coalesced {}/{} | adaptations {}",
+             p95 {:>7.3} ms  p99 {:>7.3} ms | overloaded {} | adaptations {}",
             self.name,
             self.requests,
             self.wall_secs,
@@ -342,8 +325,6 @@ impl ScenarioResult {
             self.p95_ms,
             self.p99_ms,
             self.overloaded,
-            self.coalesced_windows,
-            self.coalesced_batches,
             self.adaptations,
         );
     }
@@ -366,13 +347,12 @@ impl ScenarioResult {
             })
             .collect();
         format!(
-            "    {{\n      \"name\": \"{}\",\n      \"batch_max\": {},\n      \"requests\": {},\n      \
+            "    {{\n      \"name\": \"{}\",\n      \"requests\": {},\n      \
              \"wall_secs\": {:.3},\n      \"throughput_rps\": {:.1},\n      \"predict_p50_ms\": {:.4},\n      \
              \"predict_p95_ms\": {:.4},\n      \"predict_p99_ms\": {:.4},\n      \"overloaded\": {},\n      \
-             \"coalesced_batches\": {},\n      \"coalesced_windows\": {},\n      \"adaptations\": {},\n      \
+             \"adaptations\": {},\n      \
              \"server_stages\": {{\n{}\n      }}\n    }}",
             self.name,
-            self.batch_max,
             self.requests,
             self.wall_secs,
             self.throughput_rps(),
@@ -380,8 +360,6 @@ impl ScenarioResult {
             self.p95_ms,
             self.p99_ms,
             self.overloaded,
-            self.coalesced_batches,
-            self.coalesced_windows,
             self.adaptations,
             stages.join(",\n"),
         )
@@ -431,20 +409,18 @@ fn storm_ops(args: &Args, train_windows: &[usize], drift_len: usize) -> Vec<Vec<
 fn in_process(
     engine: &Arc<ServeEngine>,
     args: &Args,
-    batch_max: usize,
     ds: &Dataset,
     drift: &[(Matrix, usize)],
     ops: Vec<Vec<Op>>,
-) -> (ConnStats, LatencyHists, f64, Arc<ServerMetrics>, StatsSnapshot) {
+) -> (ConnStats, LatencyHists, f64, StatsSnapshot) {
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-    let config = ServeConfig { workers: args.workers, batch_max, ..ServeConfig::default() };
+    let config = ServeConfig { workers: args.workers, ..ServeConfig::default() };
     let server = serve(Arc::clone(engine), listener, config).expect("server starts");
     let addr = server.local_addr().to_string();
     let (stats, hists, wall) = run_scenario(&addr, ds, drift, ops, args.inflight);
-    let metrics = server.metrics_arc();
     let server_stats = server.stats();
     server.shutdown();
-    (stats, hists, wall, metrics, server_stats)
+    (stats, hists, wall, server_stats)
 }
 
 fn write_json(path: &str, args: &Args, results: &[ScenarioResult]) -> std::io::Result<()> {
@@ -478,8 +454,8 @@ fn main() {
         synthetic::drift_stream(&ds, 256, args.seed ^ 0xD1F7).expect("drift pool synthesizes");
 
     if let Some(addr) = &args.connect {
-        // External server: its coalescing config is whatever it was
-        // started with; no in-process metrics. `--storm` swaps the steady
+        // External server: its config is whatever it was started with.
+        // `--storm` swaps the steady
         // script for the enrolment storm, personalizing 10% of the fleet —
         // the traffic the CI kill/restart smoke uses to land durable
         // tenant state in a `--state-dir` server before killing it.
@@ -508,7 +484,7 @@ fn main() {
         // requests this run just received.
         let mut client = ServeClient::connect(addr).expect("stats connection");
         let remote = client.stats().expect("wire stats snapshot decodes");
-        let result = ScenarioResult::from_stats(name, 0, &stats, &hists, wall, None, Some(&remote));
+        let result = ScenarioResult::from_stats(name, &stats, &hists, wall, &remote);
         result.report();
         let answered = hists.predict.snapshot().count + hists.ingest.snapshot().count;
         let served = remote.counter("requests_served").unwrap_or(0);
@@ -522,9 +498,8 @@ fn main() {
             "server reports {served} served but this run received {answered} predictions"
         );
         if args.storm {
-            let adaptations = remote.counter("adaptations").unwrap_or(0);
             assert!(
-                adaptations > 0,
+                result.adaptations > 0,
                 "the storm must fire enrolments on the remote server (same --seed fleet?)"
             );
         }
@@ -548,41 +523,24 @@ fn main() {
     println!("trained in {:.1}s", t0.elapsed().as_secs_f64());
 
     let mut results = Vec::new();
-    for (name, batch_max) in [("steady_coalesced", 32usize), ("steady_uncoalesced", 1usize)] {
+    {
         let ops = steady_ops(&args, &train_windows);
-        let (stats, hists, wall, metrics, server_stats) =
-            in_process(&engine, &args, batch_max, &ds, &drift_pool, ops);
-        let result = ScenarioResult::from_stats(
-            name,
-            batch_max,
-            &stats,
-            &hists,
-            wall,
-            Some(&metrics),
-            Some(&server_stats),
-        );
+        let (stats, hists, wall, server_stats) = in_process(&engine, &args, &ds, &drift_pool, ops);
+        let result = ScenarioResult::from_stats("steady", &stats, &hists, wall, &server_stats);
         result.report();
         results.push(result);
     }
     {
         let ops = storm_ops(&args, &train_windows, drift_pool.len());
-        let (stats, hists, wall, metrics, server_stats) =
-            in_process(&engine, &args, 32, &ds, &drift_pool, ops);
-        let result = ScenarioResult::from_stats(
-            "enrolment_storm",
-            32,
-            &stats,
-            &hists,
-            wall,
-            Some(&metrics),
-            Some(&server_stats),
-        );
+        let (stats, hists, wall, server_stats) = in_process(&engine, &args, &ds, &drift_pool, ops);
+        let result =
+            ScenarioResult::from_stats("enrolment_storm", &stats, &hists, wall, &server_stats);
         result.report();
         assert!(result.adaptations > 0, "the storm must actually fire enrolments");
         // Telemetry must account for the storm it just watched: every
         // enrolment the engine reports appears in the journal (exact when
         // nothing wrapped or was dropped under contention).
-        let enrolments = server_stats.counter("adaptations").unwrap_or(0);
+        let enrolments = result.adaptations;
         let journal = &server_stats.journal;
         let finished = journal.count_of(smore_serve::EventKind::EnrollFinished);
         if journal.dropped == 0 && journal.pushed <= journal.capacity as u64 {

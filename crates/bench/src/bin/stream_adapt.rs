@@ -15,7 +15,7 @@
 use std::time::Instant;
 
 use smore::{Smore, SmoreConfig};
-use smore_bench::{pct, predictor_accuracy, print_table, secs};
+use smore_bench::{latency_percentiles, pct, predictor_accuracy, print_table, secs};
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_data::split;
 use smore_data::stream::{concept_drift_stream, DriftSegment, StreamConfig};
@@ -184,9 +184,7 @@ fn main() {
     let post =
         predictor_accuracy(&*session.snapshot(), &eval_w, &eval_l).expect("evaluation succeeds");
 
-    latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    let pick = |p: f64| latencies[((latencies.len() - 1) as f64 * p) as usize] * 1e3;
-    let (p50, p95) = (pick(0.50), pick(0.95));
+    let (p50, p95) = latency_percentiles(latencies);
 
     let rows: Vec<Vec<String>> = session
         .events()

@@ -34,7 +34,9 @@
 use std::time::Instant;
 
 use smore::{Predictor, QuantizedSmore, ServeScratch, Smore, SmoreConfig};
-use smore_bench::{make_smore, pct, predictor_accuracy, print_table, BenchProfile};
+use smore_bench::{
+    latency_percentiles, make_smore, pct, predictor_accuracy, print_table, BenchProfile,
+};
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_data::presets::usc_had;
 use smore_data::split;
@@ -94,20 +96,6 @@ impl OpFilter {
     fn includes(self, op: Self) -> bool {
         self == Self::All || self == op
     }
-}
-
-fn percentile(sorted: &[f64], p: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() - 1) as f64 * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
-/// Per-call latency percentiles (p50, p95) in milliseconds.
-fn latency_percentiles(mut samples: Vec<f64>) -> (f64, f64) {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
-    (percentile(&samples, 0.50) * 1e3, percentile(&samples, 0.95) * 1e3)
 }
 
 /// Times `calls` invocations of `f`, returning (calls/sec, per-call

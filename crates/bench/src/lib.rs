@@ -221,6 +221,17 @@ pub fn pct(x: f32) -> String {
     format!("{:.2}%", 100.0 * x)
 }
 
+/// Nearest-rank p50 and p95, in milliseconds, of per-call latencies given
+/// in seconds — ranked by [`smore::metrics::nearest_rank_index`] like
+/// every other quantile in the workspace; `(0, 0)` for no samples.
+pub fn latency_percentiles(mut samples: Vec<f64>) -> (f64, f64) {
+    samples.sort_by(f64::total_cmp);
+    let at = |q: f64| {
+        samples.get(smore::metrics::nearest_rank_index(samples.len(), q)).map_or(0.0, |s| s * 1e3)
+    };
+    (at(0.50), at(0.95))
+}
+
 /// Formats seconds with adaptive precision.
 pub fn secs(x: f64) -> String {
     if x >= 100.0 {
@@ -270,5 +281,13 @@ mod tests {
         assert_eq!(secs(0.0015), "1.5 ms");
         assert_eq!(secs(2.5), "2.50 s");
         assert_eq!(secs(200.0), "200 s");
+    }
+
+    #[test]
+    fn latency_percentiles_use_nearest_rank() {
+        // Ranks ceil(3 × 0.5) = 2 and ceil(3 × 0.95) = 3; flooring the
+        // rank would report 2 ms as the median.
+        assert_eq!(latency_percentiles(vec![0.004, 0.001, 0.003, 0.002]), (3.0, 4.0));
+        assert_eq!(latency_percentiles(Vec::new()), (0.0, 0.0));
     }
 }

@@ -8,8 +8,8 @@ use crate::{Result, SmoreError};
 /// Computes `ceil((n - 1) * q)` clamped to `n - 1`, so `q = 0.5` over ten
 /// samples picks index 5 (not 4) and any `q > 0` over two samples picks the
 /// larger one. Every quantile consumer in the workspace — drift-delta
-/// calibration, the load generator, and histogram snapshots — routes through
-/// this one function so the old truncation bias (`as usize` flooring the
+/// calibration, the load generator, the bench binaries' latency percentiles
+/// and histogram snapshots — routes through this one function so the old truncation bias (`as usize` flooring the
 /// rank) cannot silently return in any caller.
 ///
 /// `n == 0` returns 0; callers must not index an empty slice with it.

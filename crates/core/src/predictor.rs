@@ -87,14 +87,6 @@ pub struct PredictTimings {
     pub score_nanos: u64,
 }
 
-impl PredictTimings {
-    /// Sums another timing sample into this one (for batch accumulation).
-    pub fn accumulate(&mut self, other: PredictTimings) {
-        self.encode_nanos += other.encode_nanos;
-        self.score_nanos += other.score_nanos;
-    }
-}
-
 impl ServeScratch {
     /// An empty scratch; buffers are sized by the first prediction.
     pub fn new() -> Self {

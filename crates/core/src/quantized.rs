@@ -40,7 +40,7 @@ use smore_tensor::{parallel, vecops, Matrix};
 
 use crate::config::SmoreConfig;
 use crate::ood::{OodDetector, OodVerdict};
-use crate::predictor::{empty_prediction, PredictTimings, Predictor, ServeScratch};
+use crate::predictor::{empty_prediction, Predictor, ServeScratch};
 use crate::smore_model::{ChannelStats, EvalReport, Fitted, Prediction};
 use crate::test_time::ensemble_weights_into;
 use crate::{Result, SmoreError};
@@ -483,46 +483,6 @@ impl QuantizedSmore {
             }
         });
         out.into_iter().collect()
-    }
-
-    /// [`predict_batch`](Self::predict_batch) plus the summed per-stage
-    /// wall time across every window in the batch (each worker thread
-    /// accumulates its own scratch timings; the totals are merged with two
-    /// relaxed atomic adds per thread). Telemetry layers divide by
-    /// `windows.len()` to charge a batch-mean encode/score cost per window.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoder errors for malformed windows.
-    pub fn predict_batch_timed(
-        &self,
-        windows: &[Matrix],
-    ) -> Result<(Vec<Prediction>, PredictTimings)> {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let mut out: Vec<Result<Prediction>> =
-            (0..windows.len()).map(|_| Ok(empty_prediction())).collect();
-        let encode_total = AtomicU64::new(0);
-        let score_total = AtomicU64::new(0);
-        parallel::par_chunks_indexed(&mut out, self.config.threads, |start, chunk| {
-            let mut scratch = ServeScratch::new();
-            let mut local = PredictTimings::default();
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                *slot = self.predict_window_with(&windows[start + i], &mut scratch).cloned();
-                local.accumulate(scratch.timings());
-            }
-            // ordering: Relaxed — per-thread timing totals; par_chunks
-            // joins every worker before into_inner reads them back.
-            encode_total.fetch_add(local.encode_nanos, Ordering::Relaxed);
-            score_total.fetch_add(local.score_nanos, Ordering::Relaxed);
-        });
-        let predictions: Result<Vec<Prediction>> = out.into_iter().collect();
-        Ok((
-            predictions?,
-            PredictTimings {
-                encode_nanos: encode_total.into_inner(),
-                score_nanos: score_total.into_inner(),
-            },
-        ))
     }
 
     /// Predicts and scores a labelled evaluation set.

@@ -104,8 +104,9 @@ impl AtomicHistogram {
         self.sum.fetch_add(value, Ordering::Relaxed);
     }
 
-    /// Records `n` samples of the same value — how batch-mean costs are
-    /// charged (e.g. a coalesced batch's per-window encode time).
+    /// Records `n` samples of the same value — how a mean cost is charged
+    /// to each of `n` events (e.g. the serving writer's reply burst, one
+    /// mean write time per frame).
     pub fn record_n(&self, value: u64, n: u64) {
         if n == 0 {
             return;

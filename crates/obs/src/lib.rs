@@ -11,8 +11,8 @@
 //!   [`smore::metrics::nearest_rank_index`] helper every other quantile
 //!   consumer in the workspace uses.
 //! - [`Stage`] / [`StageSet`] / [`StageTimer`]: named spans over the
-//!   serving request pipeline (frame decode → queue wait → coalesce wait →
-//!   encode → score → reply write), one histogram per stage.
+//!   serving request pipeline (frame decode → queue wait → encode → score →
+//!   reply write), one histogram per stage.
 //! - [`EventJournal`]: a fixed-capacity lock-free ring of structured
 //!   adaptation [`Event`]s (OOD windows, drift firings, enrolments,
 //!   snapshot swaps, personalization, overload sheds) with per-tenant

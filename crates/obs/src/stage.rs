@@ -1,9 +1,8 @@
 //! Named spans over the serving request pipeline.
 //!
-//! A request travels `Decode → QueueWait → CoalesceWait → Encode → Score →
-//! Reply`: the connection thread times frame decoding, the job then waits
-//! in its shard queue, the worker may hold it briefly while filling a
-//! coalesced batch, the model encodes and scores it, and the writer thread
+//! A request travels `Decode → QueueWait → Encode → Score → Reply`: the
+//! connection thread times frame decoding, the job then waits in its shard
+//! queue, the worker encodes and scores it, and the writer thread
 //! serialises the response. [`StageSet`] keeps one [`AtomicHistogram`] per
 //! stage; spans are recorded either directly in nanoseconds
 //! ([`StageSet::record`]) or through the RAII [`StageTimer`] guard
@@ -22,8 +21,6 @@ pub enum Stage {
     Decode,
     /// Time between shard-queue admission and worker dequeue.
     QueueWait,
-    /// Time a dequeued job waits while the worker fills its micro-batch.
-    CoalesceWait,
     /// Window standardisation + packed hypervector encoding.
     Encode,
     /// Descriptor similarity, OOD verdict, ensemble weighting and
@@ -35,14 +32,8 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 6] = [
-        Stage::Decode,
-        Stage::QueueWait,
-        Stage::CoalesceWait,
-        Stage::Encode,
-        Stage::Score,
-        Stage::Reply,
-    ];
+    pub const ALL: [Stage; 5] =
+        [Stage::Decode, Stage::QueueWait, Stage::Encode, Stage::Score, Stage::Reply];
 
     /// Stable snake_case name (used as the wire / exposition key).
     #[must_use]
@@ -50,7 +41,6 @@ impl Stage {
         match self {
             Stage::Decode => "decode",
             Stage::QueueWait => "queue_wait",
-            Stage::CoalesceWait => "coalesce_wait",
             Stage::Encode => "encode",
             Stage::Score => "score",
             Stage::Reply => "reply",
@@ -61,10 +51,9 @@ impl Stage {
         match self {
             Stage::Decode => 0,
             Stage::QueueWait => 1,
-            Stage::CoalesceWait => 2,
-            Stage::Encode => 3,
-            Stage::Score => 4,
-            Stage::Reply => 5,
+            Stage::Encode => 2,
+            Stage::Score => 3,
+            Stage::Reply => 4,
         }
     }
 }
@@ -83,11 +72,11 @@ impl Stage {
 /// stages.record(Stage::Score, 42_000); // nanoseconds, recorded directly
 /// let snaps = stages.snapshot();
 /// assert_eq!(snaps.len(), Stage::ALL.len());
-/// assert_eq!(snaps[4].1.count, 1);
+/// assert_eq!(snaps[3].1.count, 1);
 /// ```
 #[derive(Debug, Default)]
 pub struct StageSet {
-    hists: [AtomicHistogram; 6],
+    hists: [AtomicHistogram; 5],
 }
 
 impl StageSet {
@@ -100,17 +89,18 @@ impl StageSet {
     /// The underlying histogram for one stage.
     #[must_use]
     pub fn histogram(&self, stage: Stage) -> &AtomicHistogram {
-        &self.hists[stage.index()] // smore-lint: allow(panic_path) Stage::index() enumerates exactly the 6 variants
+        &self.hists[stage.index()] // smore-lint: allow(panic_path) Stage::index() enumerates exactly the 5 variants
     }
 
     /// Records one span of `nanos` nanoseconds against `stage`.
     pub fn record(&self, stage: Stage, nanos: u64) {
-        self.hists[stage.index()].record(nanos); // smore-lint: allow(panic_path) Stage::index() enumerates exactly the 6 variants
+        self.hists[stage.index()].record(nanos); // smore-lint: allow(panic_path) Stage::index() enumerates exactly the 5 variants
     }
 
-    /// Records `n` spans of the same duration (batch-mean charging).
+    /// Records `n` spans of the same duration — how the writer charges
+    /// each frame of a reply burst the burst's mean.
     pub fn record_n(&self, stage: Stage, nanos: u64, n: u64) {
-        self.hists[stage.index()].record_n(nanos, n); // smore-lint: allow(panic_path) Stage::index() enumerates exactly the 6 variants
+        self.hists[stage.index()].record_n(nanos, n); // smore-lint: allow(panic_path) Stage::index() enumerates exactly the 5 variants
     }
 
     /// Starts an RAII span over `stage`; the elapsed time is recorded when
@@ -168,7 +158,7 @@ mod tests {
     #[test]
     fn names_are_stable_and_unique() {
         let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
-        assert_eq!(names, ["decode", "queue_wait", "coalesce_wait", "encode", "score", "reply"]);
+        assert_eq!(names, ["decode", "queue_wait", "encode", "score", "reply"]);
         for (i, &s) in Stage::ALL.iter().enumerate() {
             assert_eq!(s.index(), i);
         }

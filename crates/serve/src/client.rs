@@ -4,15 +4,15 @@
 //!
 //! - **Synchronous** ([`predict`](ServeClient::predict),
 //!   [`ingest`](ServeClient::ingest), [`ping`](ServeClient::ping)): one
-//!   request in flight, the response returned in place. Simple, but the
-//!   server's micro-batch coalescing sees at most one request from this
-//!   connection at a time.
+//!   request in flight, the response returned in place. Simple, but each
+//!   request pays a full round trip before the next one is sent.
 //! - **Pipelined** ([`send_predict`](ServeClient::send_predict) /
 //!   [`send_ingest`](ServeClient::send_ingest), then
 //!   [`flush`](ServeClient::flush) and [`recv`](ServeClient::recv)):
 //!   many requests in flight, responses correlated by the echoed request
-//!   id. This is what the load generator uses — coalescing only batches
-//!   what is actually concurrent.
+//!   id. This is what the load generator uses: the server's workers serve
+//!   each request on its own, so pipelining hides the round trip while
+//!   the shard queues stay full.
 
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -336,9 +336,11 @@ impl ServeClient {
     }
 
     /// Scrapes the server's telemetry: counters, gauges, per-stage
-    /// latency histograms and the adaptation journal tail. Answered on
-    /// the server's connection thread, so it works even while every
-    /// worker queue is refusing admission.
+    /// latency histograms and the adaptation journal tail. Answered by
+    /// the server's writer thread for this connection, after every reply
+    /// queued before it, so it counts every reply this client has
+    /// received and works even while every worker queue is refusing
+    /// admission.
     ///
     /// # Errors
     ///

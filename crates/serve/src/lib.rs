@@ -14,15 +14,17 @@
 //!   frames answered with typed errors, never a panic or an unbounded
 //!   allocation.
 //! - [`server`] — tenants sharded across workers by tenant-id hash (a
-//!   tenant's adaptation state and scratch stay core-local), cross-tenant
-//!   micro-batch coalescing of shared-base predicts into one
-//!   [`Predictor::predict_batch`](smore::Predictor::predict_batch) call,
+//!   tenant's adaptation state and scratch stay core-local), each worker
+//!   serving its queue one job at a time in arrival order (shared-base
+//!   predicts straight through
+//!   [`QuantizedSmore::predict_window_with`](smore::QuantizedSmore::predict_window_with)),
 //!   and bounded per-worker queues that answer `Overloaded` instead of
 //!   buffering without bound.
 //! - [`client`] — a blocking client with synchronous and pipelined
 //!   calling styles.
 //! - Telemetry throughout (built on `smore_obs`): every request is timed
-//!   per pipeline stage into lock-free histograms, adaptation lifecycle
+//!   per pipeline stage (decode, queue wait, encode, score, reply) into
+//!   lock-free histograms, adaptation lifecycle
 //!   and overload-shed events land in a shared journal, and a `Stats`
 //!   wire request scrapes the whole registry as a versioned
 //!   [`StatsSnapshot`] ([`ServerHandle::stats`] /

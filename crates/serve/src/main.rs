@@ -3,8 +3,7 @@
 //! ```text
 //! smore_serve --synthetic [--addr 127.0.0.1:7878] [--dim 1024]
 //! smore_serve --artifact model.smore [--addr ...]
-//!             [--workers N] [--batch-max N] [--batch-deadline-us N]
-//!             [--queue-cap N] [--max-sessions-per-shard N]
+//!             [--workers N] [--queue-cap N] [--max-sessions-per-shard N]
 //!             [--state-dir PATH] [--flush-policy sync|on_evict]
 //!             [--io-timeout-ms N] [--duration-secs N] [--seed N]
 //!             [--stats-every N]
@@ -47,8 +46,6 @@ struct Args {
     dim: usize,
     seed: u64,
     workers: Option<usize>,
-    batch_max: Option<usize>,
-    batch_deadline_us: Option<u64>,
     queue_cap: Option<usize>,
     max_sessions_per_shard: Option<usize>,
     state_dir: Option<PathBuf>,
@@ -61,8 +58,8 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: smore_serve (--synthetic | --artifact <model.smore>) [--addr HOST:PORT] \
-         [--dim N] [--seed N] [--workers N] [--batch-max N] [--batch-deadline-us N] \
-         [--queue-cap N] [--max-sessions-per-shard N] [--state-dir PATH] \
+         [--dim N] [--seed N] [--workers N] [--queue-cap N] \
+         [--max-sessions-per-shard N] [--state-dir PATH] \
          [--flush-policy sync|on_evict] [--io-timeout-ms N] [--duration-secs N] \
          [--stats-every N]"
     );
@@ -87,8 +84,6 @@ fn parse_args() -> Args {
         dim: 1024,
         seed: 7,
         workers: None,
-        batch_max: None,
-        batch_deadline_us: None,
         queue_cap: None,
         max_sessions_per_shard: None,
         state_dir: None,
@@ -109,10 +104,6 @@ fn parse_args() -> Args {
             "--dim" => args.dim = parse(&mut it, "--dim"),
             "--seed" => args.seed = parse(&mut it, "--seed"),
             "--workers" => args.workers = Some(parse(&mut it, "--workers")),
-            "--batch-max" => args.batch_max = Some(parse(&mut it, "--batch-max")),
-            "--batch-deadline-us" => {
-                args.batch_deadline_us = Some(parse(&mut it, "--batch-deadline-us"))
-            }
             "--queue-cap" => args.queue_cap = Some(parse(&mut it, "--queue-cap")),
             "--max-sessions-per-shard" => {
                 args.max_sessions_per_shard = Some(parse(&mut it, "--max-sessions-per-shard"))
@@ -137,9 +128,9 @@ fn parse_args() -> Args {
                      Speaks the length-prefixed CRC-framed binary protocol in smore_serve::protocol.\n\
                      \n\
                      usage: smore_serve (--synthetic | --artifact <model.smore>) [--addr HOST:PORT]\n\
-                            [--dim N] [--seed N] [--workers N] [--batch-max N]\n\
-                            [--batch-deadline-us N] [--queue-cap N] [--max-sessions-per-shard N]\n\
-                            [--state-dir PATH] [--flush-policy sync|on_evict] [--io-timeout-ms N]\n\
+                            [--dim N] [--seed N] [--workers N] [--queue-cap N]\n\
+                            [--max-sessions-per-shard N] [--state-dir PATH]\n\
+                            [--flush-policy sync|on_evict] [--io-timeout-ms N]\n\
                             [--duration-secs N] [--stats-every N]\n\
                      \n\
                      --state-dir PATH     durable tenant-state directory: evicted/drained\n\
@@ -207,12 +198,6 @@ fn main() {
     if let Some(w) = args.workers {
         config.workers = w;
     }
-    if let Some(b) = args.batch_max {
-        config.batch_max = b;
-    }
-    if let Some(us) = args.batch_deadline_us {
-        config.batch_deadline = Duration::from_micros(us);
-    }
     if let Some(q) = args.queue_cap {
         config.queue_capacity = q;
     }
@@ -239,11 +224,9 @@ fn main() {
     });
     info!(
         "serve",
-        "serving on {} ({} workers, batch_max {}, deadline {:?}, queue {}, state {})",
+        "serving on {} ({} workers, queue {}, state {})",
         server.local_addr(),
         config.workers,
-        config.batch_max,
-        config.batch_deadline,
         config.queue_capacity,
         match &config.state_dir {
             Some(dir) => format!("{} ({})", dir.display(), config.flush_policy.name()),
@@ -283,11 +266,9 @@ fn main() {
     // joined every worker; the joins give the happens-before edge.
     info!(
         "serve",
-        "served {} predictions ({} coalesced into {} batches), {} adaptations, \
-         {} overloaded, {} protocol errors over {} connections",
+        "served {} predictions, {} adaptations, {} overloaded, {} protocol errors \
+         over {} connections",
         m.served.load(std::sync::atomic::Ordering::Relaxed),
-        m.coalesced_windows.load(std::sync::atomic::Ordering::Relaxed),
-        m.coalesced_batches.load(std::sync::atomic::Ordering::Relaxed),
         m.adaptations.load(std::sync::atomic::Ordering::Relaxed),
         m.overloaded.load(std::sync::atomic::Ordering::Relaxed),
         m.protocol_errors.load(std::sync::atomic::Ordering::Relaxed),

@@ -18,10 +18,10 @@
 //! answered with [`ErrorCode::TooLarge`], never allocated).
 //!
 //! Each request carries a client-chosen `request_id`, echoed verbatim in
-//! the response, so clients can pipeline many requests per connection —
-//! the server's micro-batch coalescing depends on that depth. Responses
-//! to one connection may interleave with protocol errors but every
-//! request gets exactly one response frame.
+//! the response, so clients can pipeline many requests per connection and
+//! keep the server's shard queues busy without waiting on round trips.
+//! Responses to one connection may interleave with protocol errors but
+//! every request gets exactly one response frame.
 
 use std::io::{self, Read, Write};
 
@@ -97,8 +97,9 @@ impl ErrorCode {
 /// One decoded client request.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
-    /// Stateless prediction — the coalescable fast path. Does not touch
-    /// the tenant's adaptation state (or create a session).
+    /// Stateless prediction — served straight from the shared base until
+    /// the tenant personalizes. Does not touch the tenant's adaptation
+    /// state (or create a session).
     Predict {
         /// The tenant whose serving model answers (base snapshot until
         /// that tenant personalizes).
@@ -119,9 +120,10 @@ pub enum Request {
     /// Liveness probe; answered with [`Response::Pong`] without touching
     /// a worker queue.
     Ping,
-    /// Telemetry scrape; answered with [`Response::Stats`] on the
-    /// connection thread — like [`Request::Ping`] it never enters a worker
-    /// queue, so an overloaded server still answers its own diagnosis.
+    /// Telemetry scrape; answered with [`Response::Stats`] by the
+    /// connection's writer thread once every reply queued before it is
+    /// written — like [`Request::Ping`] it never enters a worker queue, so
+    /// an overloaded server still answers its own diagnosis.
     Stats,
 }
 

@@ -1,5 +1,5 @@
-//! The serving front-end: accept loop, per-tenant sharding, micro-batch
-//! coalescing and admission control.
+//! The serving front-end: accept loop, per-tenant sharding, per-job
+//! serving and admission control.
 //!
 //! # Architecture
 //!
@@ -26,13 +26,13 @@
 //!   tenants are evicted — personalized ones suspend to compact `DeltaV1`
 //!   delta artifacts — and lazily rehydrated on their next request. A
 //!   tenant-id scan can no longer grow a worker's memory without bound.
-//! - **Coalescing.** A worker drains its queue into a micro-batch (flush
-//!   on [`ServeConfig::batch_max`] or [`ServeConfig::batch_deadline`]).
-//!   Predict requests for tenants still serving the *shared base
-//!   snapshot* — the overwhelming majority in a real fleet — are answered
-//!   by **one** [`Predictor::predict_batch`] call across tenants;
-//!   personalized tenants and stateful ingests are served individually
-//!   through their own sessions.
+//! - **Per-job serving.** A worker serves its queue one job at a time, in
+//!   arrival order, through one [`ServeScratch`]. A predict for a tenant
+//!   with no personal state — the overwhelming majority in a real fleet —
+//!   is answered straight from the *shared base snapshot*; personalized
+//!   tenants and ingests go through their own sessions. SMORE builds a
+//!   test-time model per window, so requests from different tenants share
+//!   no work and nothing is gained by holding one back for another.
 //! - **Backpressure.** Worker queues are bounded `sync_channel`s. When a
 //!   shard's queue is full the connection thread answers
 //!   [`ErrorCode::Overloaded`] immediately instead of buffering without
@@ -50,12 +50,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, SyncSender, TryRecvError, TrySendError};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use smore::{ServeScratch, SmoreError};
+use smore::{PredictTimings, QuantizedSmore, ServeScratch, SmoreError};
 use smore_obs::{
     debug, error, warn, Event, EventJournal, EventKind, Stage, StageSet, StatsSnapshot,
 };
@@ -86,11 +86,6 @@ pub struct ServeConfig {
     /// Bounded depth of each worker's queue — the admission-control
     /// limit. A full queue answers `Overloaded`.
     pub queue_capacity: usize,
-    /// Micro-batch flush size; `1` disables coalescing.
-    pub batch_max: usize,
-    /// Micro-batch flush deadline: how long a worker waits for more
-    /// requests after the first one before serving a short batch.
-    pub batch_deadline: Duration,
     /// Resident [`TenantSession`](smore_stream::TenantSession)s each
     /// worker keeps before LRU-evicting — the bound that fixes the old
     /// grow-forever session map.
@@ -123,11 +118,11 @@ pub struct ServeConfig {
 /// production config never sets them.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosConfig {
-    /// Panic the owning worker when a batch contains this tenant —
+    /// Panic the owning worker when it serves a job for this tenant —
     /// exercises the supervision/respawn path.
     pub panic_on_tenant: Option<u64>,
-    /// Sleep this long per batched job before serving — makes queues
-    /// back up deterministically to exercise `Overloaded` retry paths.
+    /// Sleep this long before serving each job — makes queues back up
+    /// deterministically to exercise `Overloaded` retry paths.
     pub stall_per_job: Option<Duration>,
 }
 
@@ -137,8 +132,6 @@ impl Default for ServeConfig {
         Self {
             workers: cores.max(2),
             queue_capacity: 256,
-            batch_max: 32,
-            batch_deadline: Duration::from_micros(500),
             max_sessions_per_shard: 4096,
             max_delta_bytes_per_shard: 64 << 20,
             state_dir: None,
@@ -151,11 +144,11 @@ impl Default for ServeConfig {
 
 impl ServeConfig {
     fn validate(&self) -> Result<()> {
-        if self.workers == 0 || self.queue_capacity == 0 || self.batch_max == 0 {
+        if self.workers == 0 || self.queue_capacity == 0 {
             return Err(SmoreError::InvalidConfig {
                 what: format!(
-                    "workers ({}), queue_capacity ({}) and batch_max ({}) must all be >= 1",
-                    self.workers, self.queue_capacity, self.batch_max
+                    "workers ({}) and queue_capacity ({}) must both be >= 1",
+                    self.workers, self.queue_capacity
                 ),
             });
         }
@@ -179,10 +172,6 @@ impl ServeConfig {
 pub struct ServerMetrics {
     /// Requests answered with a prediction.
     pub served: AtomicU64,
-    /// Micro-batches answered through one shared-base `predict_batch`.
-    pub coalesced_batches: AtomicU64,
-    /// Windows inside those coalesced batches.
-    pub coalesced_windows: AtomicU64,
     /// Requests refused by admission control.
     pub overloaded: AtomicU64,
     /// Frames answered with a protocol error.
@@ -225,17 +214,26 @@ struct Job {
     request_id: u64,
     tenant_id: u64,
     kind: JobKind,
-    reply: Sender<Vec<u8>>,
+    reply: Sender<Outgoing>,
     /// When admission control accepted the job — `queue_wait` starts here.
     accepted: Instant,
-    /// When the owning worker dequeued it — `coalesce_wait` starts here.
-    /// Initialised to `accepted`; overwritten at dequeue.
-    dequeued: Instant,
 }
 
 enum JobKind {
     Predict(Matrix),
     Ingest { label: Option<u32>, window: Matrix },
+}
+
+/// What a connection's writer thread writes: an encoded response frame, or
+/// a `Stats` scrape to answer once every frame queued before it is written
+/// and timed.
+enum Outgoing {
+    Frame(Vec<u8>),
+    Stats { request_id: u64 },
+}
+
+fn response_frame(request_id: u64, response: &Response) -> Outgoing {
+    Outgoing::Frame(encode_response(request_id, response))
 }
 
 /// A running server. Dropping the handle does **not** stop the server;
@@ -323,8 +321,8 @@ impl ServerHandle {
 ///
 /// # Errors
 ///
-/// [`SmoreError::InvalidConfig`] for a zero worker count, queue capacity
-/// or batch size; [`SmoreError::Io`] when
+/// [`SmoreError::InvalidConfig`] for a zero worker count or queue
+/// capacity; [`SmoreError::Io`] when
 /// [`ServeConfig::state_dir`] cannot be created;
 /// [`SmoreError::Resource`] when the OS refuses a server thread (every
 /// already-spawned thread is stopped and joined before returning).
@@ -469,11 +467,12 @@ fn connection_loop(
     stop: &Arc<AtomicBool>,
 ) {
     let Ok(write_half) = stream.try_clone() else { return };
-    let (reply_tx, reply_rx): (Sender<Vec<u8>>, Receiver<Vec<u8>>) = mpsc::channel();
+    let (reply_tx, reply_rx): (Sender<Outgoing>, Receiver<Outgoing>) = mpsc::channel();
+    let writer_metrics = Arc::clone(metrics);
     let writer_telemetry = Arc::clone(telemetry);
     let writer = match std::thread::Builder::new()
         .name("smore-conn-writer".into())
-        .spawn(move || writer_loop(write_half, reply_rx, &writer_telemetry))
+        .spawn(move || writer_loop(write_half, reply_rx, &writer_metrics, &writer_telemetry))
     {
         Ok(handle) => handle,
         Err(e) => {
@@ -502,7 +501,7 @@ fn connection_loop(
                         crate::protocol::MAX_FRAME_LEN
                     ),
                 };
-                if reply_tx.send(encode_response(UNKNOWN_REQUEST_ID, &resp)).is_err() {
+                if reply_tx.send(response_frame(UNKNOWN_REQUEST_ID, &resp)).is_err() {
                     break;
                 }
                 continue;
@@ -513,7 +512,7 @@ fn connection_loop(
                     code: ErrorCode::Malformed,
                     message: format!("declared frame length {declared} cannot hold a message"),
                 };
-                if reply_tx.send(encode_response(UNKNOWN_REQUEST_ID, &resp)).is_err() {
+                if reply_tx.send(response_frame(UNKNOWN_REQUEST_ID, &resp)).is_err() {
                     break;
                 }
                 continue;
@@ -530,7 +529,7 @@ fn connection_loop(
                 ServerMetrics::bump(&metrics.protocol_errors);
                 debug!("serve", "protocol error after {nanos} ns decode: {}", bad.message);
                 let resp = Response::Error { code: bad.code, message: bad.message };
-                if reply_tx.send(encode_response(bad.request_id, &resp)).is_err() {
+                if reply_tx.send(response_frame(bad.request_id, &resp)).is_err() {
                     break;
                 }
                 continue;
@@ -539,17 +538,17 @@ fn connection_loop(
 
         let (tenant_id, kind) = match request {
             Request::Ping => {
-                if reply_tx.send(encode_response(request_id, &Response::Pong)).is_err() {
+                if reply_tx.send(response_frame(request_id, &Response::Pong)).is_err() {
                     break;
                 }
                 continue;
             }
             Request::Stats => {
-                // Answered on the connection thread, like Ping: a scrape
-                // must get through even when every worker queue is full.
+                // Answered by this connection's writer, like Ping bypassing
+                // the workers: a scrape must get through even when every
+                // worker queue is full.
                 ServerMetrics::bump(&metrics.stats_requests);
-                let snapshot = telemetry.snapshot(metrics).encode();
-                if reply_tx.send(encode_response(request_id, &Response::Stats(snapshot))).is_err() {
+                if reply_tx.send(Outgoing::Stats { request_id }).is_err() {
                     break;
                 }
                 continue;
@@ -561,15 +560,8 @@ fn connection_loop(
         };
 
         let shard = shard_of(tenant_id, queues.len());
-        let accepted = Instant::now();
-        let job = Job {
-            request_id,
-            tenant_id,
-            kind,
-            reply: reply_tx.clone(),
-            accepted,
-            dequeued: accepted,
-        };
+        let job =
+            Job { request_id, tenant_id, kind, reply: reply_tx.clone(), accepted: Instant::now() };
         // smore-lint: allow(panic_path) shard = hash % queues.len(), always in range
         match queues[shard].try_send(job) {
             Ok(()) => {}
@@ -588,7 +580,7 @@ fn connection_loop(
                     code: ErrorCode::Overloaded,
                     message: format!("shard {shard} queue is full; retry with backoff"),
                 };
-                if job.reply.send(encode_response(request_id, &resp)).is_err() {
+                if job.reply.send(response_frame(request_id, &resp)).is_err() {
                     break;
                 }
             }
@@ -601,27 +593,51 @@ fn connection_loop(
     let _ = writer.join();
 }
 
-fn writer_loop(stream: TcpStream, replies: Receiver<Vec<u8>>, telemetry: &Telemetry) {
+fn writer_loop(
+    stream: TcpStream,
+    replies: Receiver<Outgoing>,
+    metrics: &ServerMetrics,
+    telemetry: &Telemetry,
+) {
     let mut writer = BufWriter::new(stream);
-    while let Ok(frame) = replies.recv() {
+    let mut next = replies.recv().ok();
+    while let Some(first) = next.take() {
         // One reply span per write burst: everything already queued goes
-        // out under one buffered write + flush.
-        let mut frames = 1u64;
+        // out under one buffered write + flush. A Stats scrape ends the
+        // burst and is taken only after the burst is timed, so it counts
+        // every reply its client has already received.
+        let mut frames = 0u64;
+        let mut scrape = None;
         let burst = Instant::now();
-        if writer.write_all(&frame).is_err() {
-            return;
-        }
-        // Coalesce any already-queued responses into one flush.
-        while let Ok(frame) = replies.try_recv() {
-            if writer.write_all(&frame).is_err() {
-                return;
+        let mut queued = Some(first);
+        while let Some(out) = queued {
+            match out {
+                Outgoing::Frame(frame) => {
+                    if writer.write_all(&frame).is_err() {
+                        return;
+                    }
+                    frames += 1;
+                }
+                Outgoing::Stats { request_id } => {
+                    scrape = Some(request_id);
+                    break;
+                }
             }
-            frames += 1;
+            queued = replies.try_recv().ok();
         }
         if writer.flush().is_err() {
             return;
         }
-        telemetry.conn.record_n(Stage::Reply, nanos_of(burst.elapsed()) / frames, frames);
+        if let Some(mean) = nanos_of(burst.elapsed()).checked_div(frames) {
+            telemetry.conn.record_n(Stage::Reply, mean, frames);
+        }
+        next = match scrape {
+            Some(request_id) => {
+                let snapshot = telemetry.snapshot(metrics).encode();
+                Some(response_frame(request_id, &Response::Stats(snapshot)))
+            }
+            None => replies.recv().ok(),
+        };
     }
 }
 
@@ -635,11 +651,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
 }
 
 /// The failure-domain boundary around one shard: runs [`worker_loop`]
-/// under `catch_unwind`; a panic loses only that worker's *resident*
-/// sessions (their last archived state, if any, is re-scanned from the
-/// state dir) — the queue, its in-flight jobs and every other shard
-/// survive, and the loop respawns the worker in place. Each panic is
-/// counted, journalled and logged.
+/// under `catch_unwind`; a panic loses only the job being served and that
+/// worker's *resident* sessions (their last archived state, if any, is
+/// re-scanned from the state dir) — the queue, the jobs waiting in it and
+/// every other shard survive, and the loop respawns the worker in place.
+/// Each panic is counted, journalled and logged.
 #[allow(clippy::too_many_arguments)]
 fn supervise_worker(
     engine: &Arc<ServeEngine>,
@@ -756,8 +772,9 @@ fn forward_store_counters(
 /// Occupancy gauges: overwrite this shard's slots, walking only the
 /// *resident* sessions — an evicted session stops counting the moment
 /// it leaves the store, so the gauges can never go stale on session
-/// drop. One pass costs microseconds against a batch's milliseconds of
-/// scoring.
+/// drop. A pass walks up to a shard's whole session cap, so the worker
+/// runs it when its queue drains and every [`PUBLISH_EVERY`] jobs, not
+/// per request.
 fn refresh_gauges(telemetry: &Telemetry, shard: usize, sessions: &SessionStore) {
     // smore-lint: allow(panic_path) telemetry allocates one gauge slot per shard at startup
     let gauges = &telemetry.gauges[shard];
@@ -782,8 +799,25 @@ fn refresh_gauges(telemetry: &Telemetry, shard: usize, sessions: &SessionStore) 
     gauges.resident_delta_bytes.store(sessions.resident_delta_bytes() as u64, Ordering::Relaxed);
 }
 
-/// One shard: owns every hashed-here tenant's session, coalesces the
-/// queue into micro-batches, serves, replies. On shutdown (with `drain`
+/// Jobs a busy worker serves between two publications of its store
+/// counters and occupancy gauges; an idle one publishes as soon as its
+/// queue drains.
+const PUBLISH_EVERY: usize = 32;
+
+/// Forwards the store's counters and refreshes the shard's gauges.
+fn publish(
+    seen: &mut ForwardedCounters,
+    sessions: &SessionStore,
+    metrics: &ServerMetrics,
+    telemetry: &Telemetry,
+    shard: usize,
+) {
+    forward_store_counters(seen, sessions, metrics);
+    refresh_gauges(telemetry, shard, sessions);
+}
+
+/// One shard: owns every hashed-here tenant's session and serves its
+/// queue one job at a time, in arrival order. On shutdown (with `drain`
 /// still set) it serves the jobs already queued, then suspends every
 /// resident session to the state dir so nothing personalized is lost.
 #[allow(clippy::too_many_arguments)]
@@ -799,57 +833,49 @@ fn worker_loop(
 ) {
     let mut sessions = open_store(engine, config, shard);
     let mut scratch = ServeScratch::new();
-    let mut batch: Vec<Job> = Vec::with_capacity(config.batch_max);
+    let base = engine.base_snapshot();
     // smore-lint: allow(panic_path) telemetry allocates one stage set per shard at startup
     let stages = &telemetry.shards[shard];
+    let mut serve_one = |job: Job, sessions: &mut SessionStore| {
+        stages.record(Stage::QueueWait, nanos_of(job.accepted.elapsed()));
+        inject_chaos(&config.chaos, job.tenant_id, shard);
+        serve_job(&base, sessions, &mut scratch, job, metrics, stages);
+    };
     let mut seen = ForwardedCounters::default();
     // Publish recovery results immediately — a restarted server must show
     // honest `state_recovered` gauges before any traffic arrives.
-    forward_store_counters(&mut seen, &sessions, metrics);
-    refresh_gauges(telemetry, shard, &sessions);
-    let dequeue = |stages: &StageSet, mut job: Job| -> Job {
-        stages.record(Stage::QueueWait, nanos_of(job.accepted.elapsed()));
-        job.dequeued = Instant::now();
-        job
-    };
+    publish(&mut seen, &sessions, metrics, telemetry, shard);
+    let mut unpublished = 0usize;
 
-    'serving: loop {
-        // Wait for the first job, re-checking the stop flag so shutdown
-        // never deadlocks on queue senders still held by live connection
-        // threads. A closed queue also means shutdown.
-        let first = loop {
-            // ordering: SeqCst — pairs with the SeqCst stop store in
-            // stop_and_join; polled at most every 25 ms while idle.
-            if stop.load(Ordering::SeqCst) {
-                break 'serving;
-            }
-            match queue.recv_timeout(Duration::from_millis(25)) {
-                Ok(job) => break job,
-                Err(RecvTimeoutError::Timeout) => continue,
-                Err(RecvTimeoutError::Disconnected) => break 'serving,
-            }
-        };
-        batch.push(dequeue(stages, first));
-        if config.batch_max > 1 {
-            let deadline = Instant::now() + config.batch_deadline;
-            while batch.len() < config.batch_max {
-                let now = Instant::now();
-                if now >= deadline {
-                    break;
+    loop {
+        // ordering: SeqCst — pairs with the SeqCst stop store in
+        // stop_and_join; one load per job, dwarfed by serving it.
+        if stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let job = match queue.try_recv() {
+            Ok(job) => job,
+            Err(TryRecvError::Disconnected) => break,
+            Err(TryRecvError::Empty) => {
+                if unpublished > 0 {
+                    publish(&mut seen, &sessions, metrics, telemetry, shard);
+                    unpublished = 0;
                 }
-                match queue.recv_timeout(deadline - now) {
-                    Ok(job) => batch.push(dequeue(stages, job)),
-                    Err(RecvTimeoutError::Timeout) => break,
+                // Block with a timeout so shutdown never deadlocks on queue
+                // senders still held by live connection threads.
+                match queue.recv_timeout(Duration::from_millis(25)) {
+                    Ok(job) => job,
+                    Err(RecvTimeoutError::Timeout) => continue,
                     Err(RecvTimeoutError::Disconnected) => break,
                 }
             }
+        };
+        serve_one(job, &mut sessions);
+        unpublished += 1;
+        if unpublished == PUBLISH_EVERY {
+            publish(&mut seen, &sessions, metrics, telemetry, shard);
+            unpublished = 0;
         }
-        inject_chaos(config, &batch, shard);
-        serve_batch(engine, &mut sessions, &mut scratch, &mut batch, metrics, stages);
-        batch.clear();
-
-        forward_store_counters(&mut seen, &sessions, metrics);
-        refresh_gauges(telemetry, shard, &sessions);
     }
 
     // Graceful drain: finish the work already admitted, then suspend
@@ -861,15 +887,7 @@ fn worker_loop(
     // graceful drain.
     if drain.load(Ordering::SeqCst) && sessions.persists() {
         while let Ok(job) = queue.try_recv() {
-            batch.push(dequeue(stages, job));
-            if batch.len() >= config.batch_max {
-                serve_batch(engine, &mut sessions, &mut scratch, &mut batch, metrics, stages);
-                batch.clear();
-            }
-        }
-        if !batch.is_empty() {
-            serve_batch(engine, &mut sessions, &mut scratch, &mut batch, metrics, stages);
-            batch.clear();
+            serve_one(job, &mut sessions);
         }
         match sessions.drain() {
             Ok(persisted) => {
@@ -880,21 +898,18 @@ fn worker_loop(
                 error!("serve", "worker {shard} drain flush failed: {e}");
             }
         }
-        forward_store_counters(&mut seen, &sessions, metrics);
-        refresh_gauges(telemetry, shard, &sessions);
     }
+    publish(&mut seen, &sessions, metrics, telemetry, shard);
 }
 
-/// Applies the [`ChaosConfig`] hooks to a collected batch.
-fn inject_chaos(config: &ServeConfig, batch: &[Job], shard: usize) {
-    if let Some(victim) = config.chaos.panic_on_tenant {
-        if batch.iter().any(|job| job.tenant_id == victim) {
-            // smore-lint: allow(panic_path) deliberate fault injection for the supervision harness; production configs never set it
-            panic!("chaos: injected panic serving tenant {victim} on shard {shard}");
-        }
+/// Applies the [`ChaosConfig`] hooks to the job about to be served.
+fn inject_chaos(chaos: &ChaosConfig, tenant_id: u64, shard: usize) {
+    if chaos.panic_on_tenant == Some(tenant_id) {
+        // smore-lint: allow(panic_path) deliberate fault injection for the supervision harness; production configs never set it
+        panic!("chaos: injected panic serving tenant {tenant_id} on shard {shard}");
     }
-    if let Some(stall) = config.chaos.stall_per_job {
-        std::thread::sleep(stall.saturating_mul(u32::try_from(batch.len()).unwrap_or(u32::MAX)));
+    if let Some(stall) = chaos.stall_per_job {
+        std::thread::sleep(stall);
     }
 }
 
@@ -913,151 +928,78 @@ fn model_error_response(err: &SmoreError) -> Response {
     Response::Error { code: ErrorCode::Rejected, message: err.to_string() }
 }
 
-/// Serves one coalesced micro-batch. Shared-base predicts go through one
-/// `predict_batch`; everything else is served per tenant session.
-fn serve_batch(
-    engine: &Arc<ServeEngine>,
+/// Serves one job and sends its reply. A predict for a tenant with no
+/// personal state is answered from the shared `base` through the worker
+/// scratch; every other job goes through the tenant's session. An
+/// evicted-but-personalized tenant has *archived* state, so only a
+/// tenant that is neither resident-personalized nor archived is truly on
+/// the base.
+fn serve_job(
+    base: &QuantizedSmore,
     sessions: &mut SessionStore,
     scratch: &mut ServeScratch,
-    batch: &mut Vec<Job>,
-    metrics: &Arc<ServerMetrics>,
+    job: Job,
+    metrics: &ServerMetrics,
     stages: &StageSet,
 ) {
-    // Every job's coalesce wait ends here, whichever path serves it.
-    for job in batch.iter() {
-        stages.record(Stage::CoalesceWait, nanos_of(job.dequeued.elapsed()));
-    }
-
-    // Partition: a Predict for a tenant with no personal state is
-    // answerable from the shared base — coalescable across tenants. An
-    // evicted-but-personalized tenant has *archived* state, so it must
-    // take the stateful path and rehydrate; only a tenant that is neither
-    // resident-personalized nor archived is truly on the base. Base jobs
-    // split into lockstep reply/window vectors, so the serving paths
-    // below re-match nothing (no unreachable arms) and the batch call
-    // borrows the windows without cloning them.
-    let mut base_replies: Vec<(u64, Sender<Vec<u8>>)> = Vec::new();
-    let mut base_windows: Vec<Matrix> = Vec::new();
-    let mut stateful: Vec<Job> = Vec::new();
-    for job in batch.drain(..) {
-        let on_base = matches!(job.kind, JobKind::Predict(_))
-            && match sessions.get(job.tenant_id) {
-                Some(s) => !s.is_personalized(),
-                None => !sessions.has_archived(job.tenant_id),
-            };
-        match job {
-            Job { request_id, kind: JobKind::Predict(window), reply, .. } if on_base => {
-                base_replies.push((request_id, reply));
-                base_windows.push(window);
-            }
-            job => stateful.push(job),
-        }
-    }
-
-    if !base_windows.is_empty() {
-        let base = engine.base_snapshot();
-        let serve_one = |window: &Matrix, scratch: &mut ServeScratch| {
-            let response = match base.predict_window_with(window, scratch) {
-                Ok(p) => {
-                    ServerMetrics::bump(&metrics.served);
-                    prediction_response(p, false, false)
-                }
-                Err(e) => model_error_response(&e),
-            };
-            if matches!(response, Response::Prediction(_)) {
-                let t = scratch.timings();
-                stages.record(Stage::Encode, t.encode_nanos);
-                stages.record(Stage::Score, t.score_nanos);
-            }
-            response
+    let Job { request_id, tenant_id, kind, reply, .. } = job;
+    let on_base = matches!(kind, JobKind::Predict(_))
+        && match sessions.get(tenant_id) {
+            Some(s) => !s.is_personalized(),
+            None => !sessions.has_archived(tenant_id),
         };
-        if let ([(request_id, reply)], [window]) =
-            (base_replies.as_slice(), base_windows.as_slice())
-        {
-            // No cross-tenant coalescing possible; serve through the
-            // worker scratch without the batch machinery.
-            let response = serve_one(window, scratch);
-            let _ = reply.send(encode_response(*request_id, &response));
-        } else {
-            match base.predict_batch_timed(&base_windows) {
-                Ok((predictions, timings)) => {
-                    ServerMetrics::bump(&metrics.coalesced_batches);
-                    // ordering: Relaxed — monotone report counters (see bump).
-                    metrics
-                        .coalesced_windows
-                        .fetch_add(base_windows.len() as u64, Ordering::Relaxed);
-                    metrics.served.fetch_add(base_windows.len() as u64, Ordering::Relaxed);
-                    // Charge each window the batch mean of its stage — the
-                    // per-window split inside one parallel batch call is
-                    // not observable, the totals are.
-                    let n = base_windows.len() as u64;
-                    stages.record_n(Stage::Encode, timings.encode_nanos / n, n);
-                    stages.record_n(Stage::Score, timings.score_nanos / n, n);
-                    for ((request_id, reply), p) in base_replies.iter().zip(&predictions) {
-                        let _ = reply.send(encode_response(
-                            *request_id,
-                            &prediction_response(p, false, false),
-                        ));
-                    }
-                }
-                Err(_) => {
-                    // One bad window fails a whole batch call; fall back
-                    // to per-window serving so its neighbours still get
-                    // answers and only the offender gets the error.
-                    for ((request_id, reply), window) in base_replies.iter().zip(&base_windows) {
-                        let response = serve_one(window, scratch);
-                        let _ = reply.send(encode_response(*request_id, &response));
-                    }
-                }
-            }
-        }
+    let (response, timings) = match kind {
+        JobKind::Predict(window) if on_base => match base.predict_window_with(&window, scratch) {
+            Ok(p) => (prediction_response(p, false, false), Some(scratch.timings())),
+            Err(e) => (model_error_response(&e), None),
+        },
+        kind => serve_session(sessions, tenant_id, kind, metrics),
+    };
+    // Timings come back exactly when a prediction was served.
+    if let Some(t) = timings {
+        ServerMetrics::bump(&metrics.served);
+        stages.record(Stage::Encode, t.encode_nanos);
+        stages.record(Stage::Score, t.score_nanos);
     }
+    let _ = reply.send(response_frame(request_id, &response));
+}
 
-    for job in stateful {
-        let Job { request_id, tenant_id, kind, reply, .. } = job;
-        // The store makes the session resident first (fresh off the base,
-        // or rehydrated from its archived delta), runs the closure, then
-        // re-enforces the residency caps against the other tenants.
-        let served = sessions.with_session(tenant_id, |session| {
-            let response = match kind {
-                JobKind::Predict(window) => match session.predict_window(&window) {
-                    Ok(p) => {
-                        ServerMetrics::bump(&metrics.served);
-                        prediction_response(p, false, false)
+/// Serves one job through `tenant_id`'s session. The store makes the
+/// session resident first (fresh off the base, or rehydrated from its
+/// archived delta), runs the closure, then re-enforces the residency caps
+/// against the other tenants.
+fn serve_session(
+    sessions: &mut SessionStore,
+    tenant_id: u64,
+    kind: JobKind,
+    metrics: &ServerMetrics,
+) -> (Response, Option<PredictTimings>) {
+    let served = sessions.with_session(tenant_id, |session| {
+        let response = match kind {
+            JobKind::Predict(window) => match session.predict_window(&window) {
+                Ok(p) => prediction_response(p, false, false),
+                Err(e) => model_error_response(&e),
+            },
+            JobKind::Ingest { label, window } => {
+                let outcome = match label {
+                    Some(l) => session.ingest_labelled(&window, l as usize),
+                    None => session.ingest(&window),
+                };
+                match outcome {
+                    Ok(o) => {
+                        if o.adapted.is_some() {
+                            ServerMetrics::bump(&metrics.adaptations);
+                        }
+                        prediction_response(&o.prediction, o.buffered, o.adapted.is_some())
                     }
                     Err(e) => model_error_response(&e),
-                },
-                JobKind::Ingest { label, window } => {
-                    let outcome = match label {
-                        Some(l) => session.ingest_labelled(&window, l as usize),
-                        None => session.ingest(&window),
-                    };
-                    match outcome {
-                        Ok(o) => {
-                            ServerMetrics::bump(&metrics.served);
-                            if o.adapted.is_some() {
-                                ServerMetrics::bump(&metrics.adaptations);
-                            }
-                            prediction_response(&o.prediction, o.buffered, o.adapted.is_some())
-                        }
-                        Err(e) => model_error_response(&e),
-                    }
                 }
-            };
-            let timings =
-                matches!(response, Response::Prediction(_)).then(|| session.last_timings());
-            (response, timings)
-        });
-        let (response, timings) = match served {
-            Ok(out) => out,
-            // Rehydration failed (corrupt archive, base mismatch): a typed
-            // refusal for this tenant; every other tenant keeps serving.
-            Err(e) => (model_error_response(&e), None),
+            }
         };
-        if let Some(t) = timings {
-            stages.record(Stage::Encode, t.encode_nanos);
-            stages.record(Stage::Score, t.score_nanos);
-        }
-        let _ = reply.send(encode_response(request_id, &response));
-    }
+        let timings = matches!(response, Response::Prediction(_)).then(|| session.last_timings());
+        (response, timings)
+    });
+    // Rehydration failed (corrupt archive, base mismatch): a typed refusal
+    // for this tenant; every other tenant keeps serving.
+    served.unwrap_or_else(|e| (model_error_response(&e), None))
 }

@@ -16,8 +16,9 @@ use smore_obs::{EventJournal, Stage, StageSet, StatsSnapshot};
 
 use crate::server::ServerMetrics;
 
-/// Per-shard occupancy gauges, overwritten by the owning worker after
-/// every micro-batch (monotone counters live in [`ServerMetrics`]).
+/// Per-shard occupancy gauges, overwritten by the owning worker whenever
+/// its queue drains and every 32 jobs in between (monotone counters live
+/// in [`ServerMetrics`]).
 #[derive(Debug, Default)]
 pub(crate) struct ShardGauges {
     /// Tenant sessions materialised on this shard.
@@ -42,8 +43,7 @@ pub(crate) struct ShardGauges {
 /// All telemetry state for one running server (see the module docs).
 #[derive(Debug)]
 pub(crate) struct Telemetry {
-    /// One stage set per worker shard: `queue_wait`, `coalesce_wait`,
-    /// `encode`, `score`.
+    /// One stage set per worker shard: `queue_wait`, `encode`, `score`.
     pub(crate) shards: Vec<StageSet>,
     /// Connection-side stages shared across connections: `decode` on the
     /// reader threads, `reply` on the writer threads.
@@ -73,8 +73,6 @@ impl Telemetry {
         let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
         snap.counters = vec![
             ("requests_served".into(), load(&metrics.served)),
-            ("coalesced_batches".into(), load(&metrics.coalesced_batches)),
-            ("coalesced_windows".into(), load(&metrics.coalesced_windows)),
             ("overloaded".into(), load(&metrics.overloaded)),
             ("protocol_errors".into(), load(&metrics.protocol_errors)),
             ("adaptations".into(), load(&metrics.adaptations)),

@@ -7,6 +7,7 @@
 //! `worker_panics`, `state_recovered`, `state_quarantined` and
 //! `state_write_failures` must tell the truth after every scenario.
 
+use std::collections::HashSet;
 use std::fs;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -73,8 +74,9 @@ fn assert_bit_exact(before: &WirePrediction, after: &WirePrediction, what: &str)
     assert_eq!(after.delta_max, before.delta_max, "{what}: delta_max must be bit-exact");
 }
 
-/// Workers publish counters after replying, so a scrape can race one
-/// batch behind — poll until the condition holds (or fail loudly).
+/// Workers publish counters after replying, once their queue drains, so a
+/// scrape can race a few jobs behind — poll until the condition holds (or
+/// fail loudly).
 fn scrape_until(
     client: &mut ServeClient,
     what: &str,
@@ -186,11 +188,9 @@ fn kill_without_shutdown_recovers_evicted_state_from_disk() {
 fn worker_panic_is_supervised_and_serving_continues() {
     // One worker with an injected panic on tenant 666: the supervisor
     // must respawn it with the queue intact, journal the crash, and keep
-    // every other tenant serving. batch_max = 1 keeps the victim's batch
-    // to itself so no innocent request shares its dropped replies.
+    // every other tenant serving.
     let (server, ds) = start(ServeConfig {
         workers: 1,
-        batch_max: 1,
         chaos: ChaosConfig { panic_on_tenant: Some(666), ..ChaosConfig::default() },
         ..ServeConfig::default()
     });
@@ -223,6 +223,42 @@ fn worker_panic_is_supervised_and_serving_continues() {
         s.counter("worker_panics").unwrap_or(0) >= 2
     });
     drop(victim);
+    server.shutdown();
+}
+
+#[test]
+fn worker_panic_loses_only_its_own_request() {
+    // The victim's request sits in the middle of a pipelined burst from 40
+    // other tenants on one connection to one worker. The panic may cost
+    // the victim its reply, but no request queued around it.
+    let victim = 666u64;
+    let (server, ds) = start(ServeConfig {
+        workers: 1,
+        chaos: ChaosConfig { panic_on_tenant: Some(victim), ..ChaosConfig::default() },
+        ..ServeConfig::default()
+    });
+    let mut client = ServeClient::connect(server.local_addr()).expect("connect");
+    // A lost reply must fail the test, not hang it.
+    client.set_io_timeout(Some(Duration::from_secs(10))).expect("client io timeout");
+
+    let mut pending = HashSet::new();
+    for i in 0..41usize {
+        let tenant = if i == 20 { victim } else { 1000 + i as u64 };
+        let id = client.send_predict(tenant, ds.window(i % ds.len())).expect("queue predict");
+        if tenant != victim {
+            pending.insert(id);
+        }
+    }
+    client.flush().expect("flush");
+    while !pending.is_empty() {
+        let (id, response) = client.recv().unwrap_or_else(|e| {
+            panic!("{} requests around the victim lost their replies: {e}", pending.len())
+        });
+        assert!(pending.remove(&id), "unexpected reply for request {id}: {response:?}");
+        assert!(matches!(response, Response::Prediction(_)), "request {id} got {response:?}");
+    }
+    let stats = client.stats().expect("stats scrape");
+    assert_eq!(stats.counter("worker_panics"), Some(1));
     server.shutdown();
 }
 
@@ -350,8 +386,6 @@ fn overload_retry_rides_out_a_burst() {
     let (server, ds) = start(ServeConfig {
         workers: 1,
         queue_capacity: 1,
-        batch_max: 1,
-        batch_deadline: Duration::from_micros(1),
         chaos: ChaosConfig {
             stall_per_job: Some(Duration::from_millis(1)),
             ..ChaosConfig::default()

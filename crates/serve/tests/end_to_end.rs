@@ -3,6 +3,7 @@
 //! through `Ingest`, and admission control must answer `Overloaded`
 //! instead of buffering without bound.
 
+use std::collections::HashMap;
 use std::net::TcpListener;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -61,38 +62,34 @@ fn wire_predictions_match_direct_serving() {
 }
 
 #[test]
-fn pipelined_predicts_coalesce_into_shared_base_batches() {
-    let (server, ds) = start(ServeConfig {
-        workers: 1,
-        batch_max: 16,
-        batch_deadline: Duration::from_millis(5),
-        ..ServeConfig::default()
-    });
+fn pipelined_burst_across_tenants_matches_base_predictions() {
+    // One pipelined burst from 64 tenants spread over two shards: every
+    // request is served on its own, and each answer must equal the
+    // in-process base prediction for its window.
+    let (server, ds) = start(ServeConfig { workers: 2, ..ServeConfig::default() });
+    let (_, engine) = fleet();
+    let base = engine.base_snapshot();
 
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
     let total = 64usize;
-    let mut expected_ids = Vec::new();
+    let mut expected = HashMap::new();
     for i in 0..total {
-        let id =
-            client.send_predict(1000 + i as u64, ds.window(i % ds.len())).expect("queue predict");
-        expected_ids.push(id);
+        let window = ds.window((i * 7) % ds.len());
+        let id = client.send_predict(1000 + i as u64, window).expect("queue predict");
+        expected.insert(id, base.predict_window(window).expect("direct predict"));
     }
     client.flush().expect("flush");
-    let mut answered = 0usize;
-    while answered < total {
+    for _ in 0..total {
         let (id, response) = client.recv().expect("response");
-        assert!(expected_ids.contains(&id));
-        assert!(matches!(response, Response::Prediction(_)), "got {response:?}");
-        answered += 1;
+        let direct = expected.remove(&id).expect("one reply per request id");
+        let Response::Prediction(wire) = response else {
+            panic!("request {id} got {response:?}");
+        };
+        assert_eq!(wire.label as usize, direct.label, "request {id}");
+        assert_eq!(wire.is_ood, direct.is_ood, "request {id}");
+        assert_eq!(wire.best_domain as usize, direct.best_domain, "request {id}");
+        assert_eq!(wire.delta_max, direct.delta_max, "request {id}");
     }
-
-    let m = server.metrics();
-    // ordering: Relaxed — read after every pipelined reply arrived, so
-    // the worker's bumps are already ordered before these loads.
-    let batches = m.coalesced_batches.load(std::sync::atomic::Ordering::Relaxed);
-    let windows = m.coalesced_windows.load(std::sync::atomic::Ordering::Relaxed);
-    assert!(batches > 0, "pipelined same-connection predicts must coalesce");
-    assert!(windows > batches, "coalesced batches must hold more than one window each");
     server.shutdown();
 }
 
@@ -163,12 +160,21 @@ fn stats_snapshot_accounts_for_served_requests() {
     assert_eq!(stats.gauge("workers"), Some(2.0));
 
     // Per-stage histograms: every predict passes once through each
-    // pipeline stage, so the stage counts reconcile with the counter.
-    for stage in ["encode", "score", "queue_wait", "coalesce_wait"] {
+    // worker stage, so the stage counts reconcile with the counter.
+    for stage in ["encode", "score", "queue_wait"] {
         let h = stats.stage(stage).unwrap_or_else(|| panic!("stage {stage} present"));
         assert_eq!(h.count, total, "stage {stage} must see every predict exactly once");
         assert!(h.quantile(0.50) <= h.quantile(0.99), "stage {stage} quantiles ordered");
     }
+    // Requests are served one by one: the snapshot exports exactly the
+    // five pipeline stages, and no batch-coalescing counters.
+    let stages: Vec<&str> = stats.stages.iter().map(|(name, _)| name.as_str()).collect();
+    assert_eq!(stages, ["decode", "queue_wait", "encode", "score", "reply"]);
+    assert!(
+        stats.counters.iter().all(|(name, _)| !name.contains("coalesc")),
+        "no coalescing counters: {:?}",
+        stats.counters
+    );
     // Decode also sees the Stats frame itself; Reply counts only what the
     // writer has flushed by scrape time (>= the answered predicts).
     let decode = stats.stage("decode").expect("decode stage");
@@ -186,14 +192,9 @@ fn stats_snapshot_accounts_for_served_requests() {
 #[test]
 fn stats_never_shed_under_overload() {
     // Same saturation setup as the overload test: the Stats request must
-    // be answered inline on the connection thread even while workers shed.
-    let (server, ds) = start(ServeConfig {
-        workers: 1,
-        queue_capacity: 1,
-        batch_max: 1,
-        batch_deadline: Duration::from_micros(1),
-        ..ServeConfig::default()
-    });
+    // be answered on its connection even while workers shed.
+    let (server, ds) =
+        start(ServeConfig { workers: 1, queue_capacity: 1, ..ServeConfig::default() });
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
 
     let total = 300usize;
@@ -222,16 +223,11 @@ fn stats_never_shed_under_overload() {
 
 #[test]
 fn full_queue_answers_overloaded_not_oom() {
-    // One worker, a queue of one, no coalescing: a pipelined burst must
+    // One worker and a queue of one: a pipelined burst must
     // overflow admission control and get explicit Overloaded responses
     // while every request still gets exactly one answer.
-    let (server, ds) = start(ServeConfig {
-        workers: 1,
-        queue_capacity: 1,
-        batch_max: 1,
-        batch_deadline: Duration::from_micros(1),
-        ..ServeConfig::default()
-    });
+    let (server, ds) =
+        start(ServeConfig { workers: 1, queue_capacity: 1, ..ServeConfig::default() });
     let mut client = ServeClient::connect(server.local_addr()).expect("connect");
 
     let total = 400usize;
@@ -260,8 +256,9 @@ fn full_queue_answers_overloaded_not_oom() {
     server.shutdown();
 }
 
-/// Workers publish gauges after replying, so a scrape can race one batch
-/// behind — poll until the condition holds (or fail loudly).
+/// Workers publish gauges after replying, once their queue drains, so a
+/// scrape can race a few jobs behind — poll until the condition holds (or
+/// fail loudly).
 fn scrape_until(
     client: &mut ServeClient,
     what: &str,

@@ -7,8 +7,8 @@
 //! 2. A steady tenant predicts synchronously and gets the same answer the
 //!    shared base snapshot gives in-process.
 //! 3. A second client pipelines a burst of predicts across many tenants;
-//!    the server coalesces them into shared-base `predict_batch` calls
-//!    (check the metrics afterwards).
+//!    each worker serves its share one request at a time from the shared
+//!    base (check the served counter afterwards).
 //! 4. A drifting tenant streams held-out-domain windows as labelled
 //!    ingests until online enrolment fires — personalization over the
 //!    wire — then keeps serving through its personal snapshot.
@@ -18,7 +18,6 @@
 //! ```
 
 use std::net::TcpListener;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use smore_serve::{serve, synthetic, ServeClient, ServeConfig};
@@ -43,7 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         p.is_ood
     );
 
-    // --- 3. A pipelined burst coalesces across tenants --------------------
+    // --- 3. A pipelined burst across tenants --------------------------------
     let mut burst = ServeClient::connect(server.local_addr())?;
     let n = 48;
     for i in 0..n {
@@ -53,12 +52,10 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     for _ in 0..n {
         burst.recv()?;
     }
-    let m = server.metrics();
+    let stats = burst.stats()?;
     println!(
-        "burst of {n}: {} windows answered through {} coalesced base batches",
-        // ordering: Relaxed — display-only scrape after the replies.
-        m.coalesced_windows.load(Ordering::Relaxed),
-        m.coalesced_batches.load(Ordering::Relaxed)
+        "burst of {n} across {n} tenants: the server has served {} requests",
+        stats.counter("requests_served").unwrap_or(0)
     );
 
     // --- 4. A drifting tenant personalizes through ingests ----------------

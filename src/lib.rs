@@ -13,7 +13,7 @@
 //! - [`smore_packed`] — the bit-packed binary inference engine
 //! - [`smore_platform`] — edge-device latency/energy models
 //! - [`smore_serve`] — the network serving front-end: binary wire
-//!   protocol, tenant sharding, micro-batch coalescing, admission control
+//!   protocol, tenant sharding, per-job serving, admission control
 //! - [`smore_stream`] — streaming adaptation: drift detection, online
 //!   domain enrolment, quantized snapshot hot-swap
 //! - [`smore_tensor`] — the linear-algebra substrate
