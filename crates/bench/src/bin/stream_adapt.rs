@@ -1,14 +1,15 @@
 //! Streaming adaptation benchmark: a held-out user arrives mid-stream on a
-//! miscalibrated (1.5× gain) device, the drift detector fires, a new
-//! domain is enrolled online and the quantized serving snapshot is
-//! hot-swapped.
+//! miscalibrated (1.5× gain) device, the user's drift detector fires, and
+//! a new domain is enrolled online into the user's personal delta over the
+//! shared quantized base (one `ServeEngine` session).
 //!
 //! Emits machine-readable JSON to `BENCH_stream.json` so the adaptation
 //! trajectory is tracked across PRs. Schema: scenario metadata plus
 //! `pre_enrolment_accuracy` / `post_enrolment_accuracy` on the same
 //! held-out evaluation tail, `detection_latency_windows` (windows between
 //! drift onset and the detector firing) and per-event
-//! `enroll_seconds`/`swap_seconds` adaptation latencies.
+//! `enroll_seconds`/`swap_seconds` adaptation latencies (training the
+//! domain / appending it to the delta).
 
 #![forbid(unsafe_code)]
 
@@ -19,7 +20,7 @@ use smore_bench::{latency_percentiles, pct, predictor_accuracy, print_table, sec
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_data::split;
 use smore_data::stream::{concept_drift_stream, DriftSegment, StreamConfig};
-use smore_stream::{AdaptationEvent, LabelStrategy, StreamingConfig, StreamingSmore};
+use smore_stream::{AdaptationEvent, LabelStrategy, ServeEngine, StreamingConfig};
 
 struct Args {
     dim: usize,
@@ -120,7 +121,7 @@ fn main() {
     println!("training dense SMORE on {} windows (d = {})...", train.len(), args.dim);
     model.fit_indices(&dataset, &train).expect("training succeeds");
 
-    let mut session = StreamingSmore::new(
+    let mut engine = ServeEngine::new(
         model,
         StreamingConfig {
             buffer_capacity: 128,
@@ -134,9 +135,9 @@ fn main() {
     )
     .expect("streaming config is valid");
     let (calib_w, _, _) = dataset.gather(&train);
-    let drift_delta = session.calibrate_drift_delta(&calib_w, 0.25).expect("calibration succeeds");
+    let drift_delta = engine.calibrate_drift_delta(&calib_w, 0.25).expect("calibration succeeds");
     println!("calibrated drift δ = {drift_delta:.3} (25th percentile of training δ_max)");
-    let pre_snapshot = session.snapshot();
+    let mut session = engine.session();
 
     // The stream: 100 in-distribution windows, then the new user on a
     // 1.5×-gain device (drift + ingest segments, then an evaluation tail).
@@ -175,14 +176,15 @@ fn main() {
     let detection_latency = detection_step - drift_onset;
 
     // Pre/post accuracy on the same held-back evaluation tail, both
-    // scored through the unified Predictor interface (the pinned pre-swap
-    // snapshot vs the hot-swapped current one).
+    // scored through the unified Predictor interface (the shared base vs
+    // the user's base + delta).
     let eval_w: Vec<_> =
         items.iter().filter(|i| i.segment == 2).map(|i| i.window.clone()).collect();
     let eval_l: Vec<_> = items.iter().filter(|i| i.segment == 2).map(|i| i.label).collect();
-    let pre = predictor_accuracy(&*pre_snapshot, &eval_w, &eval_l).expect("evaluation succeeds");
-    let post =
-        predictor_accuracy(&*session.snapshot(), &eval_w, &eval_l).expect("evaluation succeeds");
+    let pre = predictor_accuracy(&*engine.base_snapshot(), &eval_w, &eval_l)
+        .expect("evaluation succeeds");
+    let post = predictor_accuracy(&session.serving_model(), &eval_w, &eval_l)
+        .expect("evaluation succeeds");
 
     let (p50, p95) = latency_percentiles(latencies);
 
@@ -199,7 +201,7 @@ fn main() {
             ]
         })
         .collect();
-    print_table("Adaptation events", &["tag", "step", "windows", "enroll", "snapshot swap"], &rows);
+    print_table("Adaptation events", &["tag", "step", "windows", "enroll", "delta append"], &rows);
     println!("\ndetection latency: {detection_latency} windows after drift onset");
     println!("held-out user accuracy: {} pre-enrolment -> {} post-enrolment", pct(pre), pct(post));
     println!("serving latency during the stream: p50 {p50:.3} ms, p95 {p95:.3} ms");

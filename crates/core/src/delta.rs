@@ -22,9 +22,12 @@
 //!   the base matrix when both domains are base domains and to the later
 //!   domain's stored growth row otherwise.
 //!
-//! Every floating-point operation happens in the same order on the same
-//! values as the full-clone path, so chained predictions are **bit-exact**
-//! with it (property-tested in `tests/proptests.rs`).
+//! [`DeltaSmore`] is the only packed scorer: a [`QuantizedSmore`] scores
+//! as its own base chained with an empty overlay. Every floating-point
+//! operation happens in the same order on the same values as scoring a
+//! full clone that enrolled the same domains
+//! ([`QuantizedSmore::enroll_domain`]), so chained predictions are
+//! **bit-exact** with it (property-tested in `tests/delta.rs`).
 //!
 //! Deltas also persist: [`SnapshotDelta::to_artifact_bytes`] writes a
 //! `DeltaV1` `.smore` container (see [`crate::artifact`]) a few KiB in
@@ -137,6 +140,12 @@ impl SnapshotDelta {
     /// Whether no domain has been enrolled yet.
     pub fn is_empty(&self) -> bool {
         self.domains.is_empty()
+    }
+
+    /// The enrolled delta domains, in enrolment order — the overlay
+    /// [`DeltaSmore::new`] chains onto the base.
+    pub fn domains(&self) -> &[DeltaDomain] {
+        &self.domains
     }
 
     /// Tags of the enrolled delta domains, in enrolment order.
@@ -296,129 +305,138 @@ impl SnapshotDelta {
     }
 }
 
-/// The chained base+delta serving view: scores exactly like the full
-/// clone the delta replaces, while borrowing both halves (see the
-/// [module docs](self)).
+/// Algorithm 1 on packed operations over a base model chained with a
+/// possibly empty overlay of delta domains — the one packed scorer (see
+/// the [module docs](self)).
+///
+/// Domains are indexed base first, then overlay domains in enrolment
+/// order. With an empty overlay this is the base model itself: every
+/// [`QuantizedSmore`] scoring entry point calls it that way. With a
+/// tenant's [`SnapshotDelta::domains`] it scores bit-exactly like the full
+/// clone that enrolled the same domains.
+///
+/// The view does not check the pairing on every request. The overlay must
+/// extend this base: [`SnapshotDelta::new`] pins a delta to its base, and
+/// [`SnapshotDelta::matches_base`] checks one loaded from bytes. A
+/// mismatched overlay is answered with a typed error or misscored, never a
+/// panic.
 #[derive(Debug, Clone, Copy)]
 pub struct DeltaSmore<'a> {
     base: &'a QuantizedSmore,
-    delta: &'a SnapshotDelta,
+    overlay: &'a [DeltaDomain],
+}
+
+/// The error a scorer returns when an overlay does not extend its base.
+fn overlay_mismatch() -> SmoreError {
+    SmoreError::InvalidConfig { what: "delta overlay does not extend this base".into() }
 }
 
 impl<'a> DeltaSmore<'a> {
-    /// Chains `delta` over `base`, validating that the delta was built
-    /// for exactly this base.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmoreError::InvalidConfig`] when the delta's pinned base
-    /// shape or tags disagree with `base`.
-    pub fn new(base: &'a QuantizedSmore, delta: &'a SnapshotDelta) -> Result<Self> {
-        delta.matches_base(base)?;
-        Ok(Self { base, delta })
+    /// Chains `overlay` (empty, or a [`SnapshotDelta::domains`] built over
+    /// `base`) onto `base`.
+    pub fn new(base: &'a QuantizedSmore, overlay: &'a [DeltaDomain]) -> Self {
+        Self { base, overlay }
     }
 
-    /// Total domains served: base `K` plus the delta's.
+    /// Total domains served: base `K` plus the overlay's.
     pub fn num_domains(&self) -> usize {
-        self.base.domain_classes.len() + self.delta.domains.len()
+        self.base.domain_classes.len() + self.overlay.len()
     }
 
-    /// External tag of the domain at chained index `index` (base domains
-    /// first, then delta domains in enrolment order).
-    fn domain_tag(&self, index: usize) -> usize {
-        let base_k = self.delta.base_domains;
-        if index < base_k {
-            self.base.domain_tags[index] // smore-lint: allow(panic_path) guarded by index < base_k
-        } else {
-            // smore-lint: allow(panic_path) callers pass index < num_domains()
-            self.delta.domains[index - base_k].tag
+    /// Every domain's class planes, in chained order.
+    fn class_planes(&self) -> impl Iterator<Item = &'a [ResidualPacked]> {
+        let overlay = self.overlay.iter().map(|d| d.classes.as_slice());
+        self.base.domain_classes.iter().map(Vec::as_slice).chain(overlay)
+    }
+
+    /// External tag of the domain at chained index `index`.
+    fn domain_tag(&self, index: usize) -> Option<usize> {
+        match index.checked_sub(self.base.domain_tags.len()) {
+            None => self.base.domain_tags.get(index).copied(),
+            Some(i) => self.overlay.get(i).map(DeltaDomain::tag),
         }
     }
 
     /// Gram entry `⟨C_j, C_m⟩` for class `class` over the chained domain
     /// indexing: both-base entries come from the base matrix (copied
     /// verbatim by the full-clone growth, so the values are identical);
-    /// any entry involving a delta domain comes from the *later* domain's
-    /// stored growth row.
-    fn gram(&self, class: usize, j: usize, m: usize) -> f32 {
-        let base_k = self.delta.base_domains;
+    /// any entry involving an overlay domain comes from the *later*
+    /// domain's stored growth row.
+    fn gram(&self, class: usize, j: usize, m: usize) -> Option<f32> {
+        let base_k = self.base.domain_classes.len();
         let (lo, hi) = if j <= m { (j, m) } else { (m, j) };
-        if hi < base_k {
-            // smore-lint: allow(panic_path) class < num_classes and j, m < base_k index the k×k base Gram
-            self.base.class_gram[class][j * base_k + m]
-        } else {
-            // smore-lint: allow(panic_path) hi < num_domains() and lo ≤ hi index the later domain's growth row
-            self.delta.domains[hi - base_k].gram_rows[class][lo]
+        match hi.checked_sub(base_k) {
+            None => self.base.class_gram.get(class)?.get(j * base_k + m).copied(),
+            Some(i) => self.overlay.get(i)?.gram_rows.get(class)?.get(lo).copied(),
         }
     }
 
-    /// Chained [`QuantizedSmore::prepare_query`] twin: one shared encode,
-    /// then descriptor similarities over base descriptors followed by
-    /// delta descriptors — the order the full clone holds them in.
+    /// Encodes `window` into the packed query and computes the descriptor
+    /// similarities (recovered onto the dense cosine scale, so δ* and the
+    /// Eq. 3 weights keep their dense calibration) and ensemble weights
+    /// into `scratch`; returns the OOD verdict.
     fn prepare_query(&self, window: &Matrix, scratch: &mut ServeScratch) -> Result<OodVerdict> {
         let encode_start = Instant::now();
         self.base.encode_query_into(window, scratch)?;
         scratch.timings.encode_nanos = clamped_nanos(encode_start.elapsed());
         scratch.sims.clear();
-        let delta_descriptors = self.delta.domains.iter().map(|d| &d.descriptor);
-        for u in self.base.descriptors.iter().chain(delta_descriptors) {
-            let sim =
-                // smore-lint: allow(panic_path) every descriptor was packed at dim set once at quantize time
-                scratch.query.similarity(u).expect("descriptor dimension fixed at quantize time");
-            scratch.sims.push(recover_cosine(sim));
+        let overlay = self.overlay.iter().map(|d| &d.descriptor);
+        for u in self.base.descriptors.iter().chain(overlay) {
+            scratch.sims.push(recover_cosine(scratch.query.similarity(u)?));
         }
-        let verdict = OodDetector::new(self.base.config.delta_star).decide(&scratch.sims);
+        let config = &self.base.config;
+        let verdict = OodDetector::new(config.delta_star).decide(&scratch.sims);
         ensemble_weights_into(
             &scratch.sims,
             verdict.is_ood,
-            self.base.config.delta_star,
-            self.base.config.weight_power,
+            config.delta_star,
+            config.weight_power,
             &mut scratch.weights,
         );
         Ok(verdict)
     }
 
-    /// Chained Eq. 3 scoring — the same accumulations in the same order
-    /// as the full clone's `class_scores_into`, with class planes and
-    /// Gram entries routed to whichever half owns them.
-    fn class_scores_into(&self, query: &PackedHypervector, weights: &[f32], scores: &mut Vec<f32>) {
-        let base_k = self.delta.base_domains;
-        let k = base_k + self.delta.domains.len();
+    /// Scores a prepared packed query against `M_T = Σ_k w_k M_k` without
+    /// materialising it: `dot(Q, Σ_k w_k C_k) = Σ_k w_k dot(Q, C_k)`,
+    /// every dot a handful of popcount sweeps (one per residual plane);
+    /// the per-class ensemble norm comes from the Gram entries. `scores`
+    /// is cleared and refilled with one entry per class.
+    fn class_scores_into(
+        &self,
+        query: &PackedHypervector,
+        weights: &[f32],
+        scores: &mut Vec<f32>,
+    ) -> Result<()> {
         let q_norm = (self.base.config.dim as f32).sqrt();
         scores.clear();
         for class in 0..self.base.config.num_classes {
             let mut dot_sum = 0.0f32;
-            for (j, &w) in weights.iter().take(k).enumerate() {
+            for (planes, &w) in self.class_planes().zip(weights) {
                 if w > 0.0 {
-                    let plane = if j < base_k {
-                        &self.base.domain_classes[j][class] // smore-lint: allow(panic_path) j < base_k, class < num_classes
-                    } else {
-                        // smore-lint: allow(panic_path) j < k = base_k + delta domains, class < num_classes
-                        &self.delta.domains[j - base_k].classes[class]
-                    };
-                    let dot =
-                        // smore-lint: allow(panic_path) query was packed at the quantize-time dim
-                        plane.dot_packed(query).expect("query dimension fixed at quantize time");
-                    dot_sum += w * dot;
+                    let plane = planes.get(class).ok_or_else(overlay_mismatch)?;
+                    dot_sum += w * plane.dot_packed(query)?;
                 }
             }
             let mut norm_sq = 0.0f32;
-            for (j, &wj) in weights.iter().take(k).enumerate() {
+            for (j, &wj) in weights.iter().enumerate() {
                 if wj <= 0.0 {
                     continue;
                 }
-                for (m, &wm) in weights.iter().take(k).enumerate() {
+                for (m, &wm) in weights.iter().enumerate() {
                     if wm > 0.0 {
-                        norm_sq += wj * wm * self.gram(class, j, m);
+                        norm_sq += wj * wm * self.gram(class, j, m).ok_or_else(overlay_mismatch)?;
                     }
                 }
             }
             scores.push(if norm_sq > 0.0 { dot_sum / (norm_sq.sqrt() * q_norm) } else { 0.0 });
         }
+        Ok(())
     }
 
-    /// Per-class ensemble scores for one window — the chained analog of
-    /// [`QuantizedSmore::score_into`], bit-exact with the full clone.
+    /// Per-class ensemble scores for one window (the
+    /// [`Predictor::score_into`] surface): `scores` is cleared and
+    /// refilled with `num_classes` entries; the predicted label is their
+    /// argmax.
     ///
     /// # Errors
     ///
@@ -430,12 +448,14 @@ impl<'a> DeltaSmore<'a> {
         scores: &mut Vec<f32>,
     ) -> Result<()> {
         self.prepare_query(window, scratch)?;
-        self.class_scores_into(&scratch.query, &scratch.weights, scores);
-        Ok(())
+        self.class_scores_into(&scratch.query, &scratch.weights, scores)
     }
 
-    /// Predicts one window through caller-owned scratch — Algorithm 1
-    /// chained over base + delta, bit-exact with the full-clone snapshot.
+    /// Predicts one window — Algorithm 1 entirely on packed operations,
+    /// reusing caller-owned scratch so the steady-state hot path performs
+    /// no heap allocation. The returned reference points into `scratch`
+    /// (also readable later through [`ServeScratch::prediction`]); clone
+    /// it to keep the prediction past the next call.
     ///
     /// # Errors
     ///
@@ -448,8 +468,10 @@ impl<'a> DeltaSmore<'a> {
         let total_start = Instant::now();
         let verdict = self.prepare_query(window, scratch)?;
         let ServeScratch { query, weights, scores, .. } = &mut *scratch;
-        self.class_scores_into(query, weights, scores);
+        self.class_scores_into(query, weights, scores)?;
         let best_label = vecops::argmax(scores).unwrap_or(0);
+        // Everything past the encode — descriptor similarity, OOD verdict,
+        // Eq. 3 weights, per-class scoring — is the "score" stage.
         scratch.timings.score_nanos =
             clamped_nanos(total_start.elapsed()).saturating_sub(scratch.timings.encode_nanos);
 
@@ -457,13 +479,15 @@ impl<'a> DeltaSmore<'a> {
         prediction.label = best_label;
         prediction.is_ood = verdict.is_ood;
         prediction.delta_max = verdict.delta_max;
-        prediction.best_domain = self.domain_tag(verdict.best_domain);
+        prediction.best_domain =
+            self.domain_tag(verdict.best_domain).ok_or_else(overlay_mismatch)?;
         prediction.domain_similarities.clear();
         prediction.domain_similarities.extend_from_slice(&scratch.sims);
         Ok(&scratch.prediction)
     }
 
-    /// Predicts one window — the allocating convenience wrapper.
+    /// Predicts one window — the allocating convenience wrapper around
+    /// [`predict_window_with`](Self::predict_window_with).
     ///
     /// # Errors
     ///
@@ -473,8 +497,9 @@ impl<'a> DeltaSmore<'a> {
         Ok(self.predict_window_with(window, &mut scratch)?.clone())
     }
 
-    /// Thread-parallel batch prediction, chunked exactly like
-    /// [`QuantizedSmore::predict_batch`].
+    /// Predicts a batch of windows in parallel; every worker thread reuses
+    /// one [`ServeScratch`] across its whole chunk, so the per-window cost
+    /// is allocation-free encoding plus one output clone.
     ///
     /// # Errors
     ///
@@ -484,9 +509,8 @@ impl<'a> DeltaSmore<'a> {
             (0..windows.len()).map(|_| Ok(empty_prediction())).collect();
         parallel::par_chunks_indexed(&mut out, self.base.config.threads, |start, chunk| {
             let mut scratch = ServeScratch::new();
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                // smore-lint: allow(panic_path) chunks are carved from 0..windows.len()
-                *slot = self.predict_window_with(&windows[start + i], &mut scratch).cloned();
+            for (slot, window) in chunk.iter_mut().zip(windows.iter().skip(start)) {
+                *slot = self.predict_window_with(window, &mut scratch).cloned();
             }
         });
         out.into_iter().collect()
@@ -544,86 +568,9 @@ impl Predictor for DeltaSmore<'_> {
         DeltaSmore::predict_window(self, window)
     }
 
+    /// Overrides the provided sequential batch with the thread-parallel
+    /// per-chunk-scratch implementation.
     fn predict_batch(&self, windows: &[Matrix]) -> Result<Vec<Prediction>> {
         DeltaSmore::predict_batch(self, windows)
-    }
-}
-
-/// What a tenant currently serves from: the shared base directly, or the
-/// base chained with the tenant's personal delta. Borrowed per call, so
-/// holding one never clones model state.
-#[derive(Debug, Clone, Copy)]
-pub enum ServingModel<'a> {
-    /// The shared base snapshot (tenant never personalized).
-    Base(&'a QuantizedSmore),
-    /// Base + personal delta, scored chained.
-    Chained(DeltaSmore<'a>),
-}
-
-impl ServingModel<'_> {
-    /// Domains this view serves (base `K`, plus the delta's if chained).
-    pub fn num_domains(&self) -> usize {
-        match self {
-            ServingModel::Base(base) => base.num_domains(),
-            ServingModel::Chained(chained) => chained.num_domains(),
-        }
-    }
-
-    /// Predicts and scores a labelled evaluation set.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QuantizedSmore::evaluate`].
-    pub fn evaluate(&self, windows: &[Matrix], labels: &[usize]) -> Result<EvalReport> {
-        match self {
-            ServingModel::Base(base) => base.evaluate(windows, labels),
-            ServingModel::Chained(chained) => chained.evaluate(windows, labels),
-        }
-    }
-}
-
-impl Predictor for ServingModel<'_> {
-    fn num_classes(&self) -> usize {
-        match self {
-            ServingModel::Base(base) => base.config.num_classes,
-            ServingModel::Chained(chained) => chained.num_classes(),
-        }
-    }
-
-    fn predict_window_with<'s>(
-        &self,
-        window: &Matrix,
-        scratch: &'s mut ServeScratch,
-    ) -> Result<&'s Prediction> {
-        match self {
-            ServingModel::Base(base) => base.predict_window_with(window, scratch),
-            ServingModel::Chained(chained) => chained.predict_window_with(window, scratch),
-        }
-    }
-
-    fn score_into(
-        &self,
-        window: &Matrix,
-        scratch: &mut ServeScratch,
-        scores: &mut Vec<f32>,
-    ) -> Result<()> {
-        match self {
-            ServingModel::Base(base) => base.score_into(window, scratch, scores),
-            ServingModel::Chained(chained) => chained.score_into(window, scratch, scores),
-        }
-    }
-
-    fn predict_window(&self, window: &Matrix) -> Result<Prediction> {
-        match self {
-            ServingModel::Base(base) => base.predict_window(window),
-            ServingModel::Chained(chained) => chained.predict_window(window),
-        }
-    }
-
-    fn predict_batch(&self, windows: &[Matrix]) -> Result<Vec<Prediction>> {
-        match self {
-            ServingModel::Base(base) => base.predict_batch(windows),
-            ServingModel::Chained(chained) => chained.predict_batch(windows),
-        }
     }
 }

@@ -30,11 +30,11 @@
 //! Both models also adapt *online*: [`Smore::enroll_domain`] adds a new
 //! domain (descriptor + specialised model) to a fitted model without
 //! refitting ([`Smore::prepare_domain`] is the non-mutating variant used
-//! by multi-tenant serving), and [`QuantizedSmore::enroll_domain`] appends
-//! it to a frozen snapshot without re-quantizing. The `smore_stream`
-//! crate builds the full streaming deployment on these: OOD buffering,
-//! drift detection, atomic hot-swap of the serving snapshot, and the
-//! multi-tenant `ServeEngine`.
+//! by multi-tenant serving), and [`SnapshotDelta::enroll_domain`] appends
+//! it to a per-tenant overlay that [`DeltaSmore`] scores on top of the
+//! frozen snapshot without copying it. The `smore_stream` crate builds the
+//! full streaming deployment on these: OOD buffering, drift detection and
+//! the multi-tenant `ServeEngine`.
 //!
 //! Every serving backend implements the unified [`Predictor`] trait, and
 //! both model forms persist as versioned `.smore` binary artifacts
@@ -97,7 +97,7 @@ pub mod wire;
 
 pub use centering::Centerer;
 pub use config::{DomainInit, RangeMode, SmoreConfig, SmoreConfigBuilder};
-pub use delta::{DeltaEnrollmentRecord, DeltaMeta, DeltaSmore, ServingModel, SnapshotDelta};
+pub use delta::{DeltaEnrollmentRecord, DeltaMeta, DeltaSmore, SnapshotDelta};
 pub use error::SmoreError;
 pub use predictor::{PredictTimings, Predictor, ServeScratch};
 pub use quantized::QuantizedSmore;

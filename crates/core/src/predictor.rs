@@ -1,14 +1,13 @@
 //! The unified serving interface: one trait over every inference backend.
 //!
-//! Before this module existed the repo exposed three incompatible
-//! prediction surfaces — [`Smore`](crate::Smore) (dense f32),
+//! [`Smore`](crate::Smore) (dense f32),
 //! [`QuantizedSmore`](crate::QuantizedSmore) (bit-packed) and
-//! `smore_stream::SnapshotHandle` (hot-swappable packed snapshots) — and
-//! every bench, example and test matched on the backend it happened to
-//! hold. [`Predictor`] collapses them into one contract: encode a raw
-//! window, run Algorithm 1, report a [`Prediction`], all through a shared
-//! caller-owned [`ServeScratch`] so the hot path stays allocation-free
-//! regardless of backend.
+//! [`DeltaSmore`](crate::DeltaSmore) (a packed base chained with a
+//! tenant's delta) share one prediction surface, so no bench, example or
+//! test matches on the backend it happens to hold. [`Predictor`] is that
+//! contract: encode a raw window, run Algorithm 1, report a
+//! [`Prediction`], all through a shared caller-owned [`ServeScratch`] so
+//! the hot path stays allocation-free regardless of backend.
 
 use smore_packed::{EncoderScratch, PackedHypervector};
 use smore_tensor::Matrix;
@@ -24,7 +23,7 @@ use crate::Result;
 /// the similarity / ensemble-weight / per-class-score vectors and the
 /// output [`Prediction`] — so `predict_window_with` performs no heap
 /// allocation in steady state. Buffers size themselves lazily on first use
-/// and survive snapshot hot-swaps (an enrolled domain merely grows the
+/// and survive a change of model (an enrolled domain merely grows the
 /// similarity vectors once). One scratch can serve different backends (and
 /// different models) interleaved; it just re-sizes on the first call of
 /// each shape.
@@ -145,7 +144,7 @@ pub(crate) fn empty_prediction() -> Prediction {
 ///
 /// Implemented by [`Smore`](crate::Smore) (dense reference pipeline),
 /// [`QuantizedSmore`](crate::QuantizedSmore) (bit-packed serving) and
-/// `smore_stream::SnapshotHandle` (atomically hot-swappable snapshots), so
+/// [`DeltaSmore`](crate::DeltaSmore) (base + tenant delta, chained), so
 /// benches, examples and tests can hold a `&dyn Predictor` instead of
 /// matching on the backend.
 ///

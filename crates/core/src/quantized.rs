@@ -31,19 +31,16 @@
 //! replaces `3d` FLOPs with `d/64` XOR+popcount words per comparison.
 
 use std::f32::consts::FRAC_PI_2;
-use std::time::Instant;
 
 use smore_data::Dataset;
 use smore_hdc::encoder::MultiSensorEncoder;
 use smore_packed::{PackedHypervector, PackedNgramEncoder, ResidualPacked};
-use smore_tensor::{parallel, vecops, Matrix};
+use smore_tensor::Matrix;
 
 use crate::config::SmoreConfig;
-use crate::ood::{OodDetector, OodVerdict};
-use crate::predictor::{empty_prediction, Predictor, ServeScratch};
+use crate::predictor::{Predictor, ServeScratch};
 use crate::smore_model::{ChannelStats, EvalReport, Fitted, Prediction};
-use crate::test_time::ensemble_weights_into;
-use crate::{Result, SmoreError};
+use crate::{DeltaSmore, Result, SmoreError};
 
 /// Recovers a dense-cosine estimate from a sign-quantized similarity.
 ///
@@ -131,64 +128,47 @@ pub struct QuantizedSmore {
 pub(crate) const CLASS_PLANES: usize = 3;
 
 impl QuantizedSmore {
+    /// Quantizes a fitted dense model: packs the encoder codebooks, then
+    /// appends the fitted domains in order through
+    /// [`enroll_domain`](Self::enroll_domain), which builds the per-class
+    /// Gram matrices one row at a time.
     pub(crate) fn from_fitted(
         config: &SmoreConfig,
         dense_encoder: &MultiSensorEncoder,
         fitted: &Fitted,
     ) -> Result<Self> {
-        let encoder = PackedNgramEncoder::from_dense(dense_encoder)?;
-        let domain_classes = fitted
-            .domain_models
-            .iter()
-            .map(|model| {
-                model
-                    .class_hypervectors()
-                    .iter_rows()
-                    .map(|row| ResidualPacked::from_dense(row, CLASS_PLANES))
-                    .collect::<smore_packed::Result<Vec<_>>>()
-            })
-            .collect::<smore_packed::Result<Vec<_>>>()?;
-        let descriptors: Vec<PackedHypervector> =
-            fitted.descriptors.as_matrix().iter_rows().map(PackedHypervector::from_signs).collect();
-        let k = domain_classes.len();
-        let class_gram = (0..config.num_classes)
-            .map(|c| {
-                let mut gram = vec![0.0f32; k * k];
-                for j in 0..k {
-                    for m in j..k {
-                        let dot = domain_classes[j][c].dot(&domain_classes[m][c])?;
-                        gram[j * k + m] = dot;
-                        gram[m * k + j] = dot;
-                    }
-                }
-                Ok(gram)
-            })
-            .collect::<Result<Vec<_>>>()?;
-        Ok(Self {
+        let mut model = Self {
             config: config.clone(),
             scaler: fitted.scaler.clone(),
-            encoder,
+            encoder: PackedNgramEncoder::from_dense(dense_encoder)?,
             mean: fitted.centerer.mean().to_vec(),
-            descriptors,
-            class_gram,
-            domain_classes,
-            domain_tags: fitted.domain_tags.clone(),
-        })
+            domain_classes: Vec::new(),
+            descriptors: Vec::new(),
+            class_gram: vec![Vec::new(); config.num_classes],
+            domain_tags: Vec::new(),
+        };
+        let descriptors = fitted.descriptors.as_matrix();
+        for ((domain, descriptor), &tag) in
+            fitted.domain_models.iter().zip(descriptors.iter_rows()).zip(&fitted.domain_tags)
+        {
+            model.enroll_domain(domain, descriptor, tag)?;
+        }
+        Ok(model)
     }
 
-    /// Appends a freshly enrolled domain to the frozen serving model
-    /// *without* re-quantizing the shared state: the new model's class
-    /// hypervectors are residual-binarized, the new descriptor is
-    /// sign-packed, and every per-class Gram matrix grows from `K × K` to
+    /// Appends a domain to this model in place: the model's class
+    /// hypervectors are residual-binarized, the descriptor is sign-packed,
+    /// and every per-class Gram matrix grows from `K × K` to
     /// `(K+1) × (K+1)` by computing only the new row/column of dots. The
     /// packed encoder codebooks, channel scaler and centring mean are
-    /// untouched — they were frozen by the original quantize and stay
-    /// valid because online enrolment never moves the encoder geometry.
+    /// untouched.
     ///
-    /// This is the cheap path behind streaming hot-swap: cloning the
-    /// snapshot and appending one domain costs `O(n·d)` instead of the
-    /// full-model re-quantization (which re-derives the encoder
-    /// codebooks).
+    /// This builds the fully materialized model that chaining a
+    /// [`SnapshotDelta`](crate::SnapshotDelta) over the unchanged base
+    /// must score bit for bit like — the reference the delta tests compare
+    /// against. Serving enrols tenant domains into a delta instead
+    /// ([`SnapshotDelta::enroll_domain`](crate::SnapshotDelta::enroll_domain)),
+    /// which never copies the base.
     ///
     /// # Errors
     ///
@@ -232,19 +212,28 @@ impl QuantizedSmore {
             .map(|row| ResidualPacked::from_dense(row, CLASS_PLANES))
             .collect::<smore_packed::Result<Vec<_>>>()?;
         let k = self.domain_classes.len();
-        for (c, gram) in self.class_gram.iter_mut().enumerate() {
-            let mut grown = vec![0.0f32; (k + 1) * (k + 1)];
-            for j in 0..k {
-                for m in 0..k {
-                    grown[j * (k + 1) + m] = gram[j * k + m];
-                }
+        // Per class, the new Gram row: ⟨C_j, C_new⟩ for every earlier
+        // domain j, then the self-dot — each dot taken earlier-first, as
+        // the delta growth rows take them.
+        let mut rows = Vec::with_capacity(new_classes.len());
+        for (c, new_class) in new_classes.iter().enumerate() {
+            let mut row = Vec::with_capacity(k + 1);
+            for classes in &self.domain_classes {
+                // smore-lint: allow(panic_path) every domain holds num_classes planes, and c < num_classes
+                row.push(classes[c].dot(new_class)?);
             }
-            for j in 0..k {
-                let dot = self.domain_classes[j][c].dot(&new_classes[c])?;
-                grown[j * (k + 1) + k] = dot;
-                grown[k * (k + 1) + j] = dot;
+            row.push(new_class.dot(new_class)?);
+            rows.push(row);
+        }
+        for (gram, row) in self.class_gram.iter_mut().zip(&rows) {
+            let mut grown = Vec::with_capacity((k + 1) * (k + 1));
+            // Each old row gains its new-column entry (a K = 0 matrix has
+            // no rows; `max(1)` only keeps `chunks` from panicking on 0).
+            for (old_row, dot) in gram.chunks(k.max(1)).zip(row) {
+                grown.extend_from_slice(old_row);
+                grown.push(*dot);
             }
-            grown[k * (k + 1) + k] = new_classes[c].dot(&new_classes[c])?;
+            grown.extend_from_slice(row);
             *gram = grown;
         }
         self.descriptors.push(PackedHypervector::from_signs(descriptor));
@@ -322,6 +311,7 @@ impl QuantizedSmore {
             scratch.query = PackedHypervector::zeros(self.config.dim);
         }
         let mean = &self.mean;
+        // smore-lint: allow(panic_path) fill_with passes i < dim; the encoder sizes counts to dim, and quantize and the artifact loader both give the mean dim values
         scratch.query.fill_with(|i| (counts[i] as f32) - mean[i] * norm < 0.0);
         Ok(())
     }
@@ -341,65 +331,10 @@ impl QuantizedSmore {
         Ok(scratch.query)
     }
 
-    /// Encodes `window` into the packed query and computes the descriptor
-    /// similarities (recovered onto the dense cosine scale, so δ* and the
-    /// Eq. 3 weights keep their dense calibration) and ensemble weights
-    /// into `scratch`; returns the OOD verdict. Shared by the predict and
-    /// score entry points.
-    fn prepare_query(&self, window: &Matrix, scratch: &mut ServeScratch) -> Result<OodVerdict> {
-        let encode_start = Instant::now();
-        self.encode_query_into(window, scratch)?;
-        scratch.timings.encode_nanos = clamped_nanos(encode_start.elapsed());
-        scratch.sims.clear();
-        for u in &self.descriptors {
-            let sim =
-                scratch.query.similarity(u).expect("descriptor dimension fixed at quantize time");
-            scratch.sims.push(recover_cosine(sim));
-        }
-        let verdict: OodVerdict = OodDetector::new(self.config.delta_star).decide(&scratch.sims);
-        ensemble_weights_into(
-            &scratch.sims,
-            verdict.is_ood,
-            self.config.delta_star,
-            self.config.weight_power,
-            &mut scratch.weights,
-        );
-        Ok(verdict)
-    }
-
-    /// Scores a prepared packed query against `M_T = Σ_k w_k M_k` without
-    /// materialising it: `dot(Q, Σ_k w_k C_k) = Σ_k w_k dot(Q, C_k)`,
-    /// every dot a handful of popcount sweeps (one per residual plane);
-    /// the per-class ensemble norm comes from the precomputed Gram.
-    /// `scores` is cleared and refilled with one entry per class.
-    fn class_scores_into(&self, query: &PackedHypervector, weights: &[f32], scores: &mut Vec<f32>) {
-        let k = self.domain_classes.len();
-        let q_norm = (self.config.dim as f32).sqrt();
-        scores.clear();
-        for class in 0..self.config.num_classes {
-            let mut dot_sum = 0.0f32;
-            for (classes, &w) in self.domain_classes.iter().zip(weights) {
-                if w > 0.0 {
-                    let dot = classes[class]
-                        .dot_packed(query)
-                        .expect("query dimension fixed at quantize time");
-                    dot_sum += w * dot;
-                }
-            }
-            let gram = &self.class_gram[class];
-            let mut norm_sq = 0.0f32;
-            for (j, &wj) in weights.iter().enumerate() {
-                if wj <= 0.0 {
-                    continue;
-                }
-                for (m, &wm) in weights.iter().enumerate() {
-                    if wm > 0.0 {
-                        norm_sq += wj * wm * gram[j * k + m];
-                    }
-                }
-            }
-            scores.push(if norm_sq > 0.0 { dot_sum / (norm_sq.sqrt() * q_norm) } else { 0.0 });
-        }
+    /// This model as the chained scorer with an empty overlay — the one
+    /// packed implementation of Algorithm 1 every entry point below runs.
+    fn scorer(&self) -> DeltaSmore<'_> {
+        DeltaSmore::new(self, &[])
     }
 
     /// Per-class ensemble scores for one window (the quantized
@@ -416,9 +351,7 @@ impl QuantizedSmore {
         scratch: &mut ServeScratch,
         scores: &mut Vec<f32>,
     ) -> Result<()> {
-        self.prepare_query(window, scratch)?;
-        self.class_scores_into(&scratch.query, &scratch.weights, scores);
-        Ok(())
+        self.scorer().score_into(window, scratch, scores)
     }
 
     /// Predicts one window — Algorithm 1 entirely on packed operations,
@@ -435,24 +368,7 @@ impl QuantizedSmore {
         window: &Matrix,
         scratch: &'s mut ServeScratch,
     ) -> Result<&'s Prediction> {
-        let total_start = Instant::now();
-        let verdict = self.prepare_query(window, scratch)?;
-        let ServeScratch { query, weights, scores, .. } = &mut *scratch;
-        self.class_scores_into(query, weights, scores);
-        let best_label = vecops::argmax(scores).unwrap_or(0);
-        // Everything past the encode — descriptor similarity, OOD verdict,
-        // Eq. 3 weights, per-class scoring — is the "score" stage.
-        scratch.timings.score_nanos =
-            clamped_nanos(total_start.elapsed()).saturating_sub(scratch.timings.encode_nanos);
-
-        let prediction = &mut scratch.prediction;
-        prediction.label = best_label;
-        prediction.is_ood = verdict.is_ood;
-        prediction.delta_max = verdict.delta_max;
-        prediction.best_domain = self.domain_tags[verdict.best_domain];
-        prediction.domain_similarities.clear();
-        prediction.domain_similarities.extend_from_slice(&scratch.sims);
-        Ok(&scratch.prediction)
+        self.scorer().predict_window_with(window, scratch)
     }
 
     /// Predicts one window — the allocating convenience wrapper around
@@ -462,8 +378,7 @@ impl QuantizedSmore {
     ///
     /// Propagates encoder errors for malformed windows.
     pub fn predict_window(&self, window: &Matrix) -> Result<Prediction> {
-        let mut scratch = ServeScratch::new();
-        Ok(self.predict_window_with(window, &mut scratch)?.clone())
+        self.scorer().predict_window(window)
     }
 
     /// Predicts a batch of windows in parallel; every worker thread reuses
@@ -474,15 +389,7 @@ impl QuantizedSmore {
     ///
     /// Propagates encoder errors for malformed windows.
     pub fn predict_batch(&self, windows: &[Matrix]) -> Result<Vec<Prediction>> {
-        let mut out: Vec<Result<Prediction>> =
-            (0..windows.len()).map(|_| Ok(empty_prediction())).collect();
-        parallel::par_chunks_indexed(&mut out, self.config.threads, |start, chunk| {
-            let mut scratch = ServeScratch::new();
-            for (i, slot) in chunk.iter_mut().enumerate() {
-                *slot = self.predict_window_with(&windows[start + i], &mut scratch).cloned();
-            }
-        });
-        out.into_iter().collect()
+        self.scorer().predict_batch(windows)
     }
 
     /// Predicts and scores a labelled evaluation set.
@@ -492,22 +399,7 @@ impl QuantizedSmore {
     /// Same conditions as [`predict_batch`](Self::predict_batch), plus
     /// [`SmoreError::InvalidConfig`] for mismatched label counts.
     pub fn evaluate(&self, windows: &[Matrix], labels: &[usize]) -> Result<EvalReport> {
-        if windows.len() != labels.len() || windows.is_empty() {
-            return Err(SmoreError::InvalidConfig {
-                what: format!("{} windows but {} labels", windows.len(), labels.len()),
-            });
-        }
-        let t0 = Instant::now();
-        let predictions = self.predict_batch(windows)?;
-        let infer_seconds = t0.elapsed().as_secs_f64();
-        let correct = predictions.iter().zip(labels).filter(|(p, &l)| p.label == l).count();
-        let ood = predictions.iter().filter(|p| p.is_ood).count();
-        Ok(EvalReport {
-            accuracy: correct as f32 / windows.len() as f32,
-            samples: windows.len(),
-            ood_fraction: ood as f32 / windows.len() as f32,
-            infer_seconds,
-        })
+        self.scorer().evaluate(windows, labels)
     }
 
     /// Convenience wrapper: evaluate on the rows of `dataset` selected by

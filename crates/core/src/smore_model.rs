@@ -67,8 +67,8 @@ pub struct EnrollReport {
 /// Produced without mutating the source model, so many tenants can prepare
 /// enrolments concurrently against one shared frozen [`Smore`] (the
 /// multi-tenant architecture of `smore_stream`) and attach the result to
-/// their own serving snapshot via
-/// [`QuantizedSmore::enroll_domain`](crate::QuantizedSmore::enroll_domain).
+/// their own overlay via
+/// [`SnapshotDelta::enroll_domain`](crate::SnapshotDelta::enroll_domain).
 #[derive(Debug, Clone)]
 pub struct DomainEnrollment {
     /// The new domain-specific model `M_{K+1}`.
@@ -580,8 +580,8 @@ impl Smore {
     /// coherent with everything that tenant serves), then specialised on
     /// the enrolment windows with the paper's adaptive update rule. The
     /// returned [`DomainEnrollment`] carries the model and the bundled
-    /// descriptor `U_{K+1}`, ready for
-    /// [`QuantizedSmore::enroll_domain`](crate::QuantizedSmore::enroll_domain)
+    /// descriptor `U_{K+1}`, ready for a tenant's
+    /// [`SnapshotDelta::enroll_domain`](crate::SnapshotDelta::enroll_domain)
     /// or [`DomainDescriptors::push_bundle`](crate::descriptor::DomainDescriptors::push_bundle).
     ///
     /// # Errors

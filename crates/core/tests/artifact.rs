@@ -8,7 +8,9 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use smore::artifact::{self, ArtifactKind, FORMAT_VERSION, MAGIC};
-use smore::{QuantizedSmore, ServeScratch, Smore, SmoreConfig, SmoreError};
+use smore::{
+    DeltaSmore, QuantizedSmore, ServeScratch, Smore, SmoreConfig, SmoreError, SnapshotDelta,
+};
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_data::Dataset;
 use smore_tensor::{init, Matrix};
@@ -349,6 +351,42 @@ fn huge_internal_counts_are_rejected_without_allocation() {
     ));
 }
 
+/// `to_bits()` of every per-class score the committed fixture serves for
+/// the 12 windows of [`golden_fixture_locks_the_format`] (an all-zero row
+/// is a window with no positive descriptor similarity, hence no ensemble
+/// weight).
+const GOLDEN_BASE_SCORE_BITS: [[u32; 3]; 12] = [
+    [0x3f31_e483, 0xbf03_71c0, 0xbf0f_9632],
+    [0x0000_0000, 0x0000_0000, 0x0000_0000],
+    [0x0000_0000, 0x0000_0000, 0x0000_0000],
+    [0x0000_0000, 0x0000_0000, 0x0000_0000],
+    [0x3f08_804c, 0xbedf_dfcf, 0xbe6c_581a],
+    [0x3f24_0191, 0xbf0e_3804, 0xbeba_dfb4],
+    [0x0000_0000, 0x0000_0000, 0x0000_0000],
+    [0x3f0f_1a7d, 0xbeed_937a, 0xbe87_a634],
+    [0x3f42_752e, 0xbf1b_bf0d, 0xbf1a_d977],
+    [0x3edd_dc5d, 0xbe93_3cfd, 0xbe72_45de],
+    [0x3ef0_f786, 0xbe80_c04c, 0xbea4_3a5d],
+    [0x3efe_2839, 0xbe89_c9ab, 0xbeb6_cd6b],
+];
+
+/// The same for the fixture chained with the one-domain delta that
+/// [`golden_fixture_locks_the_format`] enrols on fixed gain-1.5 windows.
+const GOLDEN_CHAINED_SCORE_BITS: [[u32; 3]; 12] = [
+    [0x3f22_2a85, 0xbf10_1852, 0xbf19_8f8b],
+    [0x3f3c_fe14, 0xbf2d_88be, 0xbf35_9634],
+    [0x3f41_7bf1, 0xbf2a_7efb, 0xbf35_89a6],
+    [0x3f48_8d3a, 0xbf2e_7506, 0xbf2c_4703],
+    [0x3ed4_980a, 0xbedb_4b2b, 0xbe5f_0816],
+    [0x3eea_06e9, 0xbf0a_29bb, 0xbeb8_f083],
+    [0x3f28_7337, 0xbf0e_6726, 0xbf15_8b95],
+    [0x3ef7_506d, 0xbee6_2868, 0xbe86_71ae],
+    [0x3f31_6ef0, 0xbf27_ab5c, 0xbf2e_d78d],
+    [0x3ea5_4e42, 0xbeb1_e9d5, 0xbead_883b],
+    [0x3ed9_7544, 0xbe97_5724, 0xbec6_7620],
+    [0x3ee5_f08f, 0xbe9e_3f95, 0xbed7_9e54],
+];
+
 /// The committed golden fixture: regenerating the artifact from the same
 /// deterministic training run must reproduce the committed bytes exactly,
 /// and the committed bytes must load into a model that predicts exactly
@@ -386,4 +424,25 @@ fn golden_fixture_locks_the_format() {
         quantized.predict_batch(&windows).unwrap(),
         "the committed fixture must serve bit-identically to the in-memory model"
     );
+
+    // Nothing above pins scores across commits: the fresh and the loaded
+    // model run the same scorer. Pin its output bits on the committed
+    // fixture, alone and chained with a one-domain delta enrolled on fixed
+    // gain-1.5 windows.
+    let enrol: Vec<Matrix> = (0..24).map(|i| ds.window(i * 3).scale(1.5)).collect();
+    let labels: Vec<usize> = (0..24).map(|i| ds.label(i * 3)).collect();
+    let prep = dense.prepare_domain(&enrol, &labels, &[]).unwrap();
+    let mut delta = SnapshotDelta::new(&loaded);
+    delta.enroll_domain(&loaded, &prep.model, &prep.descriptor, 9).unwrap();
+    let chained = DeltaSmore::new(&loaded, delta.domains());
+    let mut scratch = ServeScratch::new();
+    let mut scores = Vec::new();
+    for (i, w) in windows.iter().enumerate() {
+        loaded.score_into(w, &mut scratch, &mut scores).unwrap();
+        let bits: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(bits, GOLDEN_BASE_SCORE_BITS[i], "fixture score bits, window {i}");
+        chained.score_into(w, &mut scratch, &mut scores).unwrap();
+        let bits: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(bits, GOLDEN_CHAINED_SCORE_BITS[i], "chained score bits, window {i}");
+    }
 }

@@ -121,7 +121,7 @@ proptest! {
         noise_seed in any::<u64>(),
     ) {
         let (ds, base, delta, clone) = chained_fixture();
-        let chained = DeltaSmore::new(base, delta).unwrap();
+        let chained = DeltaSmore::new(base, delta.domains());
         let w = perturbed_window(ds, index, gain, noise_seed);
         let mut scratch = ServeScratch::new();
         let (mut a, mut b) = (Vec::new(), Vec::new());
@@ -155,8 +155,8 @@ proptest! {
         let w = perturbed_window(ds, index, gain, noise_seed);
         let mut scratch = ServeScratch::new();
         let (mut a, mut b) = (Vec::new(), Vec::new());
-        DeltaSmore::new(base, delta).unwrap().score_into(&w, &mut scratch, &mut a).unwrap();
-        DeltaSmore::new(base, loaded).unwrap().score_into(&w, &mut scratch, &mut b).unwrap();
+        DeltaSmore::new(base, delta.domains()).score_into(&w, &mut scratch, &mut a).unwrap();
+        DeltaSmore::new(base, loaded.domains()).score_into(&w, &mut scratch, &mut b).unwrap();
         assert_bits_equal(&a, &b, "delta artifact round trip");
     }
 }
@@ -171,7 +171,7 @@ fn chained_scoring_survives_ragged_dims() {
     let base = dense.quantize().unwrap();
     let (delta, clone) = enroll_both(&ds, &dense, &base);
 
-    let chained = DeltaSmore::new(&base, &delta).unwrap();
+    let chained = DeltaSmore::new(&base, delta.domains());
     let windows: Vec<Matrix> = (0..24)
         .map(|i| perturbed_window(&ds, i * 3, 1.0 + 0.02 * i as f32, 7 + i as u64))
         .collect();
@@ -184,7 +184,7 @@ fn chained_scoring_survives_ragged_dims() {
 
     // And the ragged delta round-trips through its artifact.
     let loaded = SnapshotDelta::from_artifact_bytes(&delta.to_artifact_bytes()).unwrap();
-    let rechained = DeltaSmore::new(&base, &loaded).unwrap();
+    let rechained = DeltaSmore::new(&base, loaded.domains());
     assert_eq!(
         rechained.predict_batch(&windows).unwrap(),
         clone.predict_batch(&windows).unwrap(),

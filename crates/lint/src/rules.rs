@@ -38,13 +38,17 @@ const MEMORY_ORDERINGS: [&str; 5] = ["Relaxed", "Acquire", "Release", "AcqRel", 
 const UNSAFE_ALLOWLIST: [&str; 0] = [];
 
 /// True when `rel` is on the serving path, where panics are forbidden:
-/// the wire/artifact/delta layers of `smore` core plus the serve,
-/// stream, obs and packed crates.
+/// the wire/artifact/quantized/delta layers of `smore` core plus the
+/// serve, stream, obs and packed crates.
 pub fn in_panic_scope(rel: &str) -> bool {
     const PREFIXES: [&str; 4] =
         ["crates/serve/src/", "crates/stream/src/", "crates/obs/src/", "crates/packed/src/"];
-    const FILES: [&str; 3] =
-        ["crates/core/src/wire.rs", "crates/core/src/artifact.rs", "crates/core/src/delta.rs"];
+    const FILES: [&str; 4] = [
+        "crates/core/src/wire.rs",
+        "crates/core/src/artifact.rs",
+        "crates/core/src/quantized.rs",
+        "crates/core/src/delta.rs",
+    ];
     PREFIXES.iter().any(|p| rel.starts_with(p)) || FILES.contains(&rel)
 }
 

@@ -1,16 +1,11 @@
-//! Backend-agnostic drift bookkeeping shared by every adaptation session.
+//! Backend-agnostic drift bookkeeping for a tenant session.
 //!
 //! [`AdaptationState`] owns everything about *deciding* to adapt — the OOD
 //! buffer, the drift detector, the calibrated drift threshold, the step
 //! counter, the enrolment cap/cooldown and the event log — while staying
-//! ignorant of *how* the adaptation is executed. [`StreamingSmore`]
-//! (single-session, publishes to a shared [`crate::SnapshotHandle`]) and
-//! the multi-tenant [`crate::TenantSession`] (copy-on-adapt personal
-//! overlay over a shared base snapshot) both drive the same state machine,
-//! so the drift semantics locked down by the streaming regression tests
-//! hold identically for both deployment shapes.
-//!
-//! [`StreamingSmore`]: crate::StreamingSmore
+//! ignorant of *how* the adaptation is executed: [`crate::TenantSession`]
+//! trains the planned domain and appends it to the tenant's personal
+//! delta.
 
 use smore::Prediction;
 use smore_tensor::Matrix;
@@ -105,10 +100,6 @@ impl AdaptationState {
         }
     }
 
-    pub(crate) fn config(&self) -> &StreamingConfig {
-        &self.config
-    }
-
     /// The tag the next enrolment will be filed under.
     pub(crate) fn next_tag(&self) -> usize {
         self.next_tag
@@ -116,10 +107,6 @@ impl AdaptationState {
 
     pub(crate) fn drift_delta(&self) -> f32 {
         self.drift_delta
-    }
-
-    pub(crate) fn set_drift_delta(&mut self, drift_delta: f32) {
-        self.drift_delta = drift_delta;
     }
 
     pub(crate) fn events(&self) -> &[AdaptationEvent] {

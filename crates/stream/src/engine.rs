@@ -1,12 +1,11 @@
 //! Multi-tenant serving: one model, a million users.
 //!
-//! [`StreamingSmore`](crate::StreamingSmore) binds one adaptation loop to
-//! one serving snapshot — the single-stream deployment. Real fleets look
-//! different: **one** trained model serves millions of users, and each
-//! user drifts (or doesn't) independently — a miscalibrated watch here, a
-//! new sensor placement there. Duplicating the model per user is a
-//! non-starter; sharing one mutable model across users would let one
-//! user's drift corrupt everyone else's predictions.
+//! **One** trained model serves millions of users, and each user drifts
+//! (or doesn't) independently — a miscalibrated watch here, a new sensor
+//! placement there. Duplicating the model per user is a non-starter;
+//! sharing one mutable model across users would let one user's drift
+//! corrupt everyone else's predictions. A single stream is simply a fleet
+//! of one: open one session.
 //!
 //! [`ServeEngine`] resolves this with shared immutable state plus
 //! per-tenant overlays:
@@ -21,11 +20,12 @@
 //!   buffer, drift detector, serving scratch and — only after its drift
 //!   detector has actually fired — a **personal delta**
 //!   ([`smore::SnapshotDelta`]): just the tenant's enrolled class planes,
-//!   descriptors and Gram growth, scored *chained* onto the shared base
-//!   ([`smore::DeltaSmore`]) bit-exactly as if the base had been cloned
-//!   and appended to. Tenants that never drift (the overwhelming
-//!   majority) serve from the shared snapshot and cost a few KiB each;
-//!   personalized tenants cost KiB, not a full model copy.
+//!   descriptors and Gram growth. Every tenant is scored by the one
+//!   chained scorer ([`smore::DeltaSmore`]): the shared base plus the
+//!   tenant's delta domains, none for tenants that never drifted (the
+//!   overwhelming majority, who cost a few KiB each). Personalized
+//!   tenants cost KiB, not a full model copy, and score bit-exactly as if
+//!   the base had been cloned and appended to.
 //!
 //! Idle sessions do not have to stay resident at all:
 //! [`TenantSession::suspend`] serializes the delta into a tiny `DeltaV1`
@@ -43,9 +43,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use smore::artifact::{self, ArtifactKind};
+use smore::delta::DeltaDomain;
 use smore::{
-    DeltaEnrollmentRecord, DeltaSmore, QuantizedSmore, ServeScratch, ServingModel, Smore,
-    SmoreError, SnapshotDelta,
+    DeltaEnrollmentRecord, DeltaSmore, QuantizedSmore, ServeScratch, Smore, SmoreError,
+    SnapshotDelta,
 };
 use smore_hdc::model::HdcClassifier;
 use smore_obs::{Event, EventJournal, EventKind};
@@ -55,14 +56,9 @@ use crate::adapt::{AdaptationState, EnrollmentPlan};
 use crate::session::{AdaptationEvent, StreamOutcome, StreamingConfig};
 use crate::Result;
 
-/// Served `δ_max` quantile over a calibration set — the shared core of
-/// [`StreamingSmore::calibrate_drift_delta`](crate::StreamingSmore::calibrate_drift_delta)
-/// and [`ServeEngine::calibrate_drift_delta`].
-pub(crate) fn drift_delta_quantile(
-    model: &QuantizedSmore,
-    windows: &[Matrix],
-    quantile: f32,
-) -> Result<f32> {
+/// Served `δ_max` quantile over a calibration set (see
+/// [`ServeEngine::calibrate_drift_delta`]).
+fn drift_delta_quantile(model: &QuantizedSmore, windows: &[Matrix], quantile: f32) -> Result<f32> {
     if windows.is_empty() {
         return Err(SmoreError::InvalidConfig { what: "calibration set is empty".into() });
     }
@@ -105,7 +101,7 @@ pub(crate) fn drift_delta_quantile(
 }
 
 /// Seconds → whole nanoseconds for journal payloads (saturating).
-pub(crate) fn seconds_to_nanos(seconds: f64) -> u64 {
+fn seconds_to_nanos(seconds: f64) -> u64 {
     if seconds <= 0.0 {
         0
     } else {
@@ -210,9 +206,12 @@ impl ServeEngine {
         }
     }
 
-    /// Calibrates the drift threshold from known in-distribution traffic,
-    /// exactly like
-    /// [`StreamingSmore::calibrate_drift_delta`](crate::StreamingSmore::calibrate_drift_delta).
+    /// Calibrates the drift threshold from known in-distribution traffic
+    /// (typically held-back training windows): `drift_delta` becomes the
+    /// `quantile` of their served `δ_max` distribution, so roughly
+    /// `quantile` of in-distribution traffic counts toward drift mass
+    /// while genuinely drifted traffic — whose `δ_max` distribution sits
+    /// lower — accumulates mass far faster. Returns the calibrated value.
     /// Calibrate **before** spawning sessions: existing sessions keep the
     /// threshold they were created with.
     ///
@@ -355,17 +354,12 @@ impl ServeEngine {
     }
 }
 
-/// Borrows the serving view for a session's current state — a free
-/// function over the two disjoint fields so callers can keep `&mut`
-/// access to the rest of the session (the scratch) while serving.
-fn serving_view<'a>(
-    base: &'a QuantizedSmore,
-    delta: &'a Option<SnapshotDelta>,
-) -> Result<ServingModel<'a>> {
-    match delta {
-        Some(delta) => Ok(ServingModel::Chained(DeltaSmore::new(base, delta)?)),
-        None => Ok(ServingModel::Base(base)),
-    }
+/// The delta domains a session serves on top of the base: none until its
+/// first enrolment. A session's delta extends its base by construction
+/// ([`SnapshotDelta::new`]) or by the check in
+/// [`ServeEngine::resume_session`], so serving never re-checks the pair.
+fn overlay(delta: &Option<SnapshotDelta>) -> &[DeltaDomain] {
+    delta.as_ref().map_or(&[], SnapshotDelta::domains)
 }
 
 /// One tenant's streaming session over the shared engine state (see the
@@ -374,10 +368,10 @@ fn serving_view<'a>(
 /// Serves from the shared base snapshot until this tenant's own drift
 /// detector fires; then the tenant's new domain goes into a compact
 /// personal [`SnapshotDelta`] — only the enrolled class planes,
-/// descriptor and Gram growth — and all later serving (and further
-/// enrolments) chain base + delta ([`DeltaSmore`]), bit-exact with a full
-/// base clone but ~3 orders of magnitude smaller. Other tenants never
-/// observe any of it.
+/// descriptor and Gram growth — which the chained scorer
+/// ([`DeltaSmore`]) serves on top of the base, bit-exact with a full base
+/// clone but ~3 orders of magnitude smaller. Other tenants never observe
+/// any of it.
 #[derive(Debug)]
 pub struct TenantSession {
     id: usize,
@@ -400,13 +394,11 @@ impl TenantSession {
         self.id
     }
 
-    /// The model this tenant currently serves from: the shared base, or
-    /// base + personal delta chained once adapted. Borrowed per call —
-    /// taking this view clones nothing.
-    pub fn serving_model(&self) -> ServingModel<'_> {
-        serving_view(&self.base, &self.delta)
-            // smore-lint: allow(panic_path) the session built its delta over this same base; the pairing cannot mismatch
-            .expect("session delta is built over the session's own base")
+    /// The model this tenant serves from: the shared base chained with the
+    /// tenant's personal delta domains (none until its first enrolment).
+    /// Borrowed per call — taking this view clones nothing.
+    pub fn serving_model(&self) -> DeltaSmore<'_> {
+        DeltaSmore::new(&self.base, overlay(&self.delta))
     }
 
     /// Whether this tenant has enrolled at least one personal domain (and
@@ -487,9 +479,8 @@ impl TenantSession {
     ///
     /// Propagates encoder errors for malformed windows.
     pub fn predict_window(&mut self, window: &Matrix) -> Result<&smore::Prediction> {
-        use smore::Predictor;
-        let serving = serving_view(&self.base, &self.delta)?;
-        serving.predict_window_with(window, &mut self.scratch)
+        DeltaSmore::new(&self.base, overlay(&self.delta))
+            .predict_window_with(window, &mut self.scratch)
     }
 
     /// Ingests one unlabelled window: serve, buffer if OOD, adapt (into
@@ -537,10 +528,9 @@ impl TenantSession {
     }
 
     fn observe(&mut self, window: &Matrix, true_label: Option<usize>) -> Result<StreamOutcome> {
-        use smore::Predictor;
-        // Serve through the session scratch from whichever view this
-        // tenant currently owns — no lock, no Arc clone, no model copy.
-        let serving = serving_view(&self.base, &self.delta)?;
+        // Serve through the session scratch from this tenant's chained
+        // view — no lock, no Arc clone, no model copy.
+        let serving = DeltaSmore::new(&self.base, overlay(&self.delta));
         let prediction = serving.predict_window_with(window, &mut self.scratch)?.clone();
         let outcome = self.state.observe(window, &prediction, true_label);
         if self.journal.is_some() {
@@ -706,6 +696,8 @@ mod tests {
         let w = vec![ds.window(0).clone()];
         assert!(engine.calibrate_drift_delta(&w, 0.0).is_err());
         assert!(engine.calibrate_drift_delta(&w, 1.0).is_err());
+        let calibrated = engine.calibrate_drift_delta(&w, 0.5).unwrap();
+        assert_eq!(engine.session().drift_delta(), calibrated, "new sessions take the threshold");
     }
 
     #[test]
@@ -761,8 +753,7 @@ mod tests {
         assert_eq!((steady.id(), drifter.id()), (0, 1));
         assert_eq!(engine.tenants_created(), 2);
 
-        // Steady tenant sees only in-distribution traffic (the exact
-        // stream the session regression test pins as non-firing).
+        // Steady tenant sees only in-distribution traffic.
         let calm = concept_drift_stream(
             &ds,
             &StreamConfig {
@@ -783,8 +774,10 @@ mod tests {
 
         for item in &calm {
             let outcome = steady.ingest_labelled(&item.window, item.label).unwrap();
-            assert!(outcome.adapted.is_none());
+            assert!(outcome.adapted.is_none(), "no drift in source-domain traffic");
         }
+        assert!(steady.events().is_empty());
+        assert_eq!(steady.steps(), calm.len());
         let mut adapted = false;
         for item in &stormy {
             let outcome = drifter.ingest_labelled(&item.window, item.label).unwrap();
@@ -923,8 +916,6 @@ mod tests {
 
     #[test]
     fn suspend_resume_round_trips_personal_state() {
-        use smore::Predictor;
-
         let ds = shifted_dataset(7);
         let (train, _) = split::lodo(&ds, 3).unwrap();
         let engine = calibrated_engine(&ds, &train);

@@ -3,12 +3,13 @@
 //! The batch pipeline (`smore`) learns `K` source domains once and serves
 //! them forever. Real deployments meet domains that did not exist at
 //! training time: a new user, a new sensor placement, a decaying gain. This
-//! crate closes that gap with a [`StreamingSmore`] session that wraps a
-//! fitted model and, per ingested window:
+//! crate closes that gap with a [`ServeEngine`] that shares one fitted
+//! model across any number of [`TenantSession`]s. Per ingested window, a
+//! session:
 //!
-//! 1. **serves** from a frozen bit-packed snapshot
-//!    ([`smore::QuantizedSmore`]) held behind an atomically swappable
-//!    [`SnapshotHandle`] — serving threads never block on adaptation;
+//! 1. **serves** from the engine's frozen bit-packed base snapshot
+//!    ([`smore::QuantizedSmore`]) chained with the tenant's own enrolled
+//!    domains ([`smore::DeltaSmore`]) — no lock, no model copy;
 //! 2. **detects** out-of-distribution queries with the model's own
 //!    descriptor similarities (Algorithm 1's `δ_max < δ*`) and accumulates
 //!    persistently-OOD windows in a bounded [`OodBuffer`];
@@ -18,20 +19,15 @@
 //!    (self-labels from the serving ensemble, or delayed ground truth —
 //!    see [`LabelStrategy`]), bundled into a fresh descriptor `U_{K+1}`,
 //!    and trained into a new domain-specific model via the paper's
-//!    adaptive update rule ([`smore::Smore::enroll_domain`]); then the
-//!    serving snapshot is *appended to* (not re-quantized) and hot-swapped
-//!    ([`smore::QuantizedSmore::enroll_domain`]).
+//!    adaptive update rule ([`smore::Smore::prepare_domain`]); the domain
+//!    is appended to the tenant's compact personal
+//!    [`smore::SnapshotDelta`], never to the shared base.
 //!
-//! Concept-drift input streams for exercising all of this live in
-//! [`smore_data::stream`].
-//!
-//! For fleet deployments — one model shared by many independently
-//! drifting users — see [`ServeEngine`]/[`TenantSession`] in [`engine`]:
-//! one `.smore` artifact load, one `Arc`-shared base snapshot, per-tenant
-//! drift detection with compact personal deltas chained onto the base.
-//! [`SessionStore`] in [`store`] bounds how many of those sessions stay
-//! resident: least-recently-used tenants are suspended to tiny `DeltaV1`
-//! artifacts and lazily rehydrated on their next request.
+//! A single stream is a fleet of one: open one session. Concept-drift
+//! input streams for exercising all of this live in [`smore_data::stream`].
+//! [`SessionStore`] in [`store`] bounds how many sessions stay resident:
+//! least-recently-used tenants are suspended to tiny `DeltaV1` artifacts
+//! and lazily rehydrated on their next request.
 //!
 //! # Example
 //!
@@ -39,7 +35,7 @@
 //! use smore::{Smore, SmoreConfig};
 //! use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 //! use smore_data::split;
-//! use smore_stream::{StreamingConfig, StreamingSmore};
+//! use smore_stream::{ServeEngine, StreamingConfig};
 //!
 //! # fn main() -> Result<(), smore::SmoreError> {
 //! let ds = generate(&GeneratorConfig {
@@ -62,7 +58,8 @@
 //! )?;
 //! model.fit_indices(&ds, &train)?;
 //!
-//! let mut session = StreamingSmore::new(model, StreamingConfig::default())?;
+//! let engine = ServeEngine::new(model, StreamingConfig::default())?;
+//! let mut session = engine.session();
 //! for &i in &test {
 //!     let outcome = session.ingest(ds.window(i))?;
 //!     assert!(outcome.prediction.label < ds.meta().num_classes);
@@ -80,15 +77,13 @@ mod detector;
 pub mod engine;
 pub mod persist;
 mod session;
-mod snapshot;
 pub mod store;
 
 pub use buffer::{BufferedQuery, OodBuffer};
 pub use detector::DriftDetector;
 pub use engine::{ServeEngine, TenantSession};
 pub use persist::{FlushPolicy, StateDir};
-pub use session::{AdaptationEvent, LabelStrategy, StreamOutcome, StreamingConfig, StreamingSmore};
-pub use snapshot::SnapshotHandle;
+pub use session::{AdaptationEvent, LabelStrategy, StreamOutcome, StreamingConfig};
 pub use store::SessionStore;
 
 /// Result alias; streaming shares the core SMORE error vocabulary.

@@ -1,15 +1,8 @@
-//! The streaming adaptation session.
+//! Streaming adaptation settings and per-window outcomes, shared by every
+//! [`TenantSession`](crate::TenantSession).
 
-use std::sync::Arc;
-use std::time::Instant;
+use smore::{Prediction, SmoreError};
 
-use smore::{Prediction, QuantizedSmore, ServeScratch, Smore, SmoreError};
-use smore_obs::{Event, EventJournal, EventKind};
-use smore_tensor::Matrix;
-
-use crate::adapt::{AdaptationState, EnrollmentPlan};
-use crate::engine::seconds_to_nanos;
-use crate::snapshot::SnapshotHandle;
 use crate::Result;
 
 /// Where enrolment labels come from.
@@ -21,13 +14,14 @@ pub enum LabelStrategy {
     #[default]
     SelfLabel,
     /// Delayed ground truth: use true labels supplied through
-    /// [`StreamingSmore::ingest_labelled`] when available (user
-    /// confirmation, annotation backfill), falling back to the self-label
-    /// for unlabelled queries.
+    /// [`TenantSession::ingest_labelled`](crate::TenantSession::ingest_labelled)
+    /// when available (user confirmation, annotation backfill), falling
+    /// back to the self-label for unlabelled queries.
     Oracle,
 }
 
-/// Configuration of a [`StreamingSmore`] session.
+/// Configuration of every [`TenantSession`](crate::TenantSession) a
+/// [`ServeEngine`](crate::ServeEngine) opens.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamingConfig {
     /// Capacity of the OOD ring buffer (oldest evicted first).
@@ -60,8 +54,9 @@ pub struct StreamingConfig {
     /// `δ_max < drift_delta` counts toward the drift mass and enters the
     /// enrolment buffer. `None` reuses the model's serving `δ*`. Set it
     /// explicitly — or better, through
-    /// [`StreamingSmore::calibrate_drift_delta`] — when the serving
-    /// threshold is tuned for accuracy rather than drift sensitivity.
+    /// [`ServeEngine::calibrate_drift_delta`](crate::ServeEngine::calibrate_drift_delta)
+    /// — when the serving threshold is tuned for accuracy rather than
+    /// drift sensitivity.
     pub drift_delta: Option<f32>,
 }
 
@@ -129,8 +124,8 @@ impl StreamingConfig {
     }
 }
 
-/// Record of one online enrolment (drift fired → domain added → snapshot
-/// swapped).
+/// Record of one online enrolment (drift fired → domain added to the
+/// tenant's delta).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdaptationEvent {
     /// External tag assigned to the enrolled domain.
@@ -144,15 +139,14 @@ pub struct AdaptationEvent {
     /// Wall-clock seconds for dense enrolment (encode + descriptor +
     /// adaptive training).
     pub enroll_seconds: f64,
-    /// Wall-clock seconds to append to the quantized snapshot and publish
-    /// the swap.
+    /// Wall-clock seconds to append the domain to the tenant's delta.
     pub swap_seconds: f64,
 }
 
 /// Outcome of ingesting one window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamOutcome {
-    /// The serving snapshot's prediction (always produced, even when the
+    /// The tenant's serving prediction (always produced, even when the
     /// query is OOD — breadth beats purity, §3.6).
     pub prediction: Prediction,
     /// Whether the query was added to the OOD enrolment buffer.
@@ -161,254 +155,17 @@ pub struct StreamOutcome {
     pub adapted: Option<AdaptationEvent>,
 }
 
-/// A streaming adaptation session around a fitted [`Smore`] model.
-///
-/// See the [crate docs](crate) for the full lifecycle. The session owns
-/// the dense model (adaptation state) and a [`SnapshotHandle`] to the
-/// quantized serving model; [`serving_handle`](Self::serving_handle)
-/// clones can serve from other threads while the session adapts.
-#[derive(Debug)]
-pub struct StreamingSmore {
-    dense: Smore,
-    handle: SnapshotHandle,
-    /// Per-session serving scratch: the ingest hot loop encodes and scores
-    /// through it, so steady-state serving performs no heap allocation.
-    scratch: ServeScratch,
-    /// The shared drift state machine (buffer, detector, step/event
-    /// bookkeeping) — the same one `TenantSession` drives.
-    state: AdaptationState,
-    /// Attached adaptation journal (`None` = telemetry off). Single-stream
-    /// sessions record under tenant id 0.
-    journal: Option<Arc<EventJournal>>,
-}
-
-impl StreamingSmore {
-    /// Wraps a fitted model: quantizes the initial serving snapshot and
-    /// arms the drift detector.
-    ///
-    /// # Errors
-    ///
-    /// - [`SmoreError::NotFitted`] when `model` has not been fitted.
-    /// - [`SmoreError::InvalidConfig`] for invalid streaming parameters.
-    pub fn new(model: Smore, config: StreamingConfig) -> Result<Self> {
-        config.validate()?;
-        let snapshot = model.quantize()?;
-        let next_tag = model.domain_tags()?.iter().copied().max().unwrap_or(0) + 1;
-        let drift_delta = config.drift_delta.unwrap_or(model.config().delta_star);
-        Ok(Self {
-            handle: SnapshotHandle::new(snapshot),
-            scratch: ServeScratch::new(),
-            state: AdaptationState::new(config, drift_delta, next_tag),
-            dense: model,
-            journal: None,
-        })
-    }
-
-    /// Attaches an adaptation journal; the session records its lifecycle
-    /// (OOD windows, drift firings, enrolments, snapshot swaps) into it
-    /// under tenant id 0.
-    pub fn attach_journal(&mut self, journal: Arc<EventJournal>) {
-        self.journal = Some(journal);
-    }
-
-    /// Records one lifecycle event.
-    fn emit(&self, kind: EventKind, step: usize, a: u64, b: u64, nanos: u64) {
-        if let Some(journal) = &self.journal {
-            journal.push(Event { kind, tenant: 0, step: step as u64, a, b, nanos });
-        }
-    }
-
-    /// Calibrates the drift threshold from known in-distribution traffic
-    /// (typically held-back training windows): `drift_delta` becomes the
-    /// `quantile` of their served `δ_max` distribution, so roughly
-    /// `quantile` of in-distribution traffic counts toward drift mass
-    /// while genuinely drifted traffic — whose `δ_max` distribution sits
-    /// lower — accumulates mass far faster. Returns the calibrated value.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmoreError::InvalidConfig`] for an empty calibration set
-    /// or a quantile outside `(0, 1)`; propagates encoder errors.
-    pub fn calibrate_drift_delta(&mut self, windows: &[Matrix], quantile: f32) -> Result<f32> {
-        let snapshot = self.handle.load();
-        let delta = crate::engine::drift_delta_quantile(&snapshot, windows, quantile)?;
-        self.state.set_drift_delta(delta);
-        Ok(delta)
-    }
-
-    /// The similarity threshold currently used for drift mass and
-    /// buffering (serving `δ*` unless configured or calibrated).
-    pub fn drift_delta(&self) -> f32 {
-        self.state.drift_delta()
-    }
-
-    /// The session configuration.
-    pub fn config(&self) -> &StreamingConfig {
-        self.state.config()
-    }
-
-    /// The dense (adaptation) model.
-    pub fn dense(&self) -> &Smore {
-        &self.dense
-    }
-
-    /// The current quantized serving snapshot.
-    pub fn snapshot(&self) -> Arc<QuantizedSmore> {
-        self.handle.load()
-    }
-
-    /// A cloneable handle serving threads can hold: every
-    /// [`SnapshotHandle::load`] observes the latest hot-swap without ever
-    /// blocking on adaptation.
-    pub fn serving_handle(&self) -> SnapshotHandle {
-        self.handle.clone()
-    }
-
-    /// Enrolments performed so far, in stream order.
-    pub fn events(&self) -> &[AdaptationEvent] {
-        self.state.events()
-    }
-
-    /// Number of queries currently buffered for enrolment.
-    pub fn buffered(&self) -> usize {
-        self.state.buffered()
-    }
-
-    /// OOD fraction over the detector's current sliding window.
-    pub fn recent_ood_fraction(&self) -> f32 {
-        self.state.ood_fraction()
-    }
-
-    /// Total windows ingested.
-    pub fn steps(&self) -> usize {
-        self.state.steps()
-    }
-
-    /// Ingests one unlabelled window: serve, buffer if OOD, adapt if drift
-    /// fires.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoder errors for malformed windows and enrolment
-    /// errors; a failed ingest does not corrupt the session.
-    pub fn ingest(&mut self, window: &Matrix) -> Result<StreamOutcome> {
-        self.observe(window, None)
-    }
-
-    /// Ingests one window with (possibly delayed) ground truth — the
-    /// [`LabelStrategy::Oracle`] path. Under
-    /// [`LabelStrategy::SelfLabel`] the label is recorded but ignored at
-    /// enrolment time.
-    ///
-    /// # Errors
-    ///
-    /// - [`SmoreError::InvalidConfig`] for an out-of-range label.
-    /// - Same conditions as [`ingest`](Self::ingest) otherwise.
-    pub fn ingest_labelled(&mut self, window: &Matrix, label: usize) -> Result<StreamOutcome> {
-        if label >= self.dense.config().num_classes {
-            return Err(SmoreError::InvalidConfig {
-                what: format!(
-                    "label {label} out of range for {} classes",
-                    self.dense.config().num_classes
-                ),
-            });
-        }
-        self.observe(window, Some(label))
-    }
-
-    /// Ingests a micro-batch in arrival order, returning one outcome per
-    /// window.
-    ///
-    /// # Errors
-    ///
-    /// Stops at (and propagates) the first failing window.
-    pub fn ingest_batch(&mut self, windows: &[Matrix]) -> Result<Vec<StreamOutcome>> {
-        windows.iter().map(|w| self.ingest(w)).collect()
-    }
-
-    fn observe(&mut self, window: &Matrix, true_label: Option<usize>) -> Result<StreamOutcome> {
-        // Serve from the quantized snapshot — the exact model external
-        // serving threads see — through the session's reusable scratch, so
-        // the serve step allocates nothing (the outcome's owned Prediction
-        // is the only copy made).
-        let prediction = self.handle.load().predict_window_with(window, &mut self.scratch)?.clone();
-        let outcome = self.state.observe(window, &prediction, true_label);
-        if self.journal.is_some() {
-            let step = self.state.steps().saturating_sub(1);
-            if outcome.buffered {
-                self.emit(EventKind::OodWindow, step, self.state.buffered() as u64, 0, 0);
-            }
-            if outcome.drift_fired {
-                self.emit(EventKind::DriftFired, step, self.state.buffered() as u64, 0, 0);
-            }
-        }
-        let adapted = match outcome.plan {
-            Some(plan) => {
-                self.emit(
-                    EventKind::EnrollStart,
-                    plan.step,
-                    plan.windows.len() as u64,
-                    plan.oracle_labelled as u64,
-                    0,
-                );
-                Some(self.adapt(plan)?)
-            }
-            None => None,
-        };
-        Ok(StreamOutcome { prediction, buffered: outcome.buffered, adapted })
-    }
-
-    /// Drift fired: enrol the planned windows as a new domain and hot-swap
-    /// the serving snapshot.
-    fn adapt(&mut self, plan: EnrollmentPlan) -> Result<AdaptationEvent> {
-        let report = self.dense.enroll_domain(&plan.windows, &plan.labels, plan.tag)?;
-
-        // Append-only refresh of the serving snapshot: clone the current
-        // snapshot, add the one new domain, publish. Serving threads keep
-        // reading the old Arc until the publish lands.
-        let t1 = Instant::now();
-        let mut snapshot = (*self.handle.load()).clone();
-        let models = self.dense.domain_models()?;
-        let descriptors = self.dense.descriptors()?.as_matrix();
-        let new_local = models.len() - 1;
-        snapshot.enroll_domain(
-            // smore-lint: allow(panic_path) domain_models() returned ≥ 1 models — this enrolment just added one
-            models.last().expect("enroll_domain pushed a model"),
-            descriptors.row(new_local),
-            plan.tag,
-        )?;
-        self.handle.publish(snapshot);
-        let swap_seconds = t1.elapsed().as_secs_f64();
-
-        self.emit(
-            EventKind::EnrollFinished,
-            plan.step,
-            report.samples as u64,
-            plan.oracle_labelled as u64,
-            seconds_to_nanos(report.seconds),
-        );
-        self.emit(EventKind::SnapshotSwap, plan.step, 0, 0, seconds_to_nanos(swap_seconds));
-
-        let event = AdaptationEvent {
-            tag: plan.tag,
-            step: plan.step,
-            enrolled_windows: report.samples,
-            oracle_labelled: plan.oracle_labelled,
-            enroll_seconds: report.seconds,
-            swap_seconds,
-        };
-        self.state.record(event.clone());
-        Ok(event)
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! [`StreamingConfig`] validation, and what its knobs do to
+    //! [`ServeEngine`](crate::ServeEngine) tenant sessions.
+
     use super::*;
-    use smore::SmoreConfig;
+    use crate::ServeEngine;
+    use smore::{Smore, SmoreConfig};
     use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
     use smore_data::split;
-    use smore_data::stream::{concept_drift_stream, DriftSegment, StreamConfig};
+    use smore_data::stream::{concept_drift_stream, DriftSegment, StreamConfig, StreamItem};
 
     fn shifted_dataset(seed: u64) -> smore_data::Dataset {
         generate(&GeneratorConfig {
@@ -417,12 +174,9 @@ mod tests {
             channels: 3,
             window_len: 24,
             sample_rate_hz: 25.0,
-            domains: vec![
-                DomainSpec { subjects: vec![0, 1], windows: 80 },
-                DomainSpec { subjects: vec![2, 3], windows: 80 },
-                DomainSpec { subjects: vec![4, 5], windows: 80 },
-                DomainSpec { subjects: vec![6, 7], windows: 80 },
-            ],
+            domains: (0..4)
+                .map(|d| DomainSpec { subjects: vec![2 * d, 2 * d + 1], windows: 80 })
+                .collect(),
             shift_severity: 1.2,
             seed,
         })
@@ -436,20 +190,13 @@ mod tests {
         DriftSegment { domain: 3, windows, gain_ramp: Some((1.5, 1.5)), dropout_channel: None }
     }
 
-    /// Builds a calibrated session on `ds` (train = domains 0–2) with the
-    /// given overrides; returns the session.
-    fn calibrated_session(
-        ds: &smore_data::Dataset,
-        train: &[usize],
-        config: StreamingConfig,
-    ) -> StreamingSmore {
-        let mut session = StreamingSmore::new(fitted(ds, train), config).unwrap();
-        let (calib_w, _, _) = ds.gather(train);
-        session.calibrate_drift_delta(&calib_w, 0.25).unwrap();
-        session
+    fn stream(ds: &smore_data::Dataset, segments: Vec<DriftSegment>) -> Vec<StreamItem> {
+        concept_drift_stream(ds, &StreamConfig { segments, seed: 7 ^ 0xAA }).unwrap()
     }
 
-    fn fitted(ds: &smore_data::Dataset, train: &[usize]) -> Smore {
+    /// An engine over domains 0–2 of `ds`, its drift δ calibrated on them.
+    fn calibrated_engine(ds: &smore_data::Dataset, config: StreamingConfig) -> ServeEngine {
+        let (train, _) = split::lodo(ds, 3).unwrap();
         let mut model = Smore::new(
             SmoreConfig::builder()
                 .dim(1024)
@@ -461,8 +208,11 @@ mod tests {
                 .unwrap(),
         )
         .unwrap();
-        model.fit_indices(ds, train).unwrap();
-        model
+        model.fit_indices(ds, &train).unwrap();
+        let mut engine = ServeEngine::new(model, config).unwrap();
+        let (calib_w, _, _) = ds.gather(&train);
+        engine.calibrate_drift_delta(&calib_w, 0.25).unwrap();
+        engine
     }
 
     fn session_config() -> StreamingConfig {
@@ -478,9 +228,8 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        let ds = shifted_dataset(1);
-        let (train, _) = split::lodo(&ds, 0).unwrap();
-        let model = fitted(&ds, &train);
+        assert!(StreamingConfig::default().validate().is_ok());
+        assert!(session_config().validate().is_ok());
         for bad in [
             StreamingConfig { buffer_capacity: 0, ..session_config() },
             StreamingConfig { drift_window: 0, ..session_config() },
@@ -492,107 +241,58 @@ mod tests {
             StreamingConfig { drift_delta: Some(1.5), ..session_config() },
             StreamingConfig { enroll_horizon: 8, drift_window: 32, ..session_config() },
         ] {
-            assert!(StreamingSmore::new(model.clone(), bad).is_err());
+            assert!(
+                matches!(bad.validate(), Err(SmoreError::InvalidConfig { .. })),
+                "{bad:?} must be refused"
+            );
         }
-        // Calibration validation.
-        let mut session = StreamingSmore::new(model, session_config()).unwrap();
-        assert!(session.calibrate_drift_delta(&[], 0.25).is_err());
-        let w = vec![ds.window(0).clone()];
-        assert!(session.calibrate_drift_delta(&w, 0.0).is_err());
-        assert!(session.calibrate_drift_delta(&w, 1.0).is_err());
-        let dd = session.calibrate_drift_delta(&w, 0.5).unwrap();
-        assert_eq!(session.drift_delta(), dd);
-    }
-
-    #[test]
-    fn requires_a_fitted_model() {
-        let unfitted =
-            Smore::new(SmoreConfig::builder().dim(256).channels(3).num_classes(4).build().unwrap())
-                .unwrap();
-        assert!(matches!(
-            StreamingSmore::new(unfitted, StreamingConfig::default()),
-            Err(SmoreError::NotFitted)
-        ));
-    }
-
-    #[test]
-    fn in_distribution_stream_never_adapts() {
-        let ds = shifted_dataset(7);
-        let (train, _) = split::lodo(&ds, 3).unwrap();
-        let mut session = calibrated_session(&ds, &train, session_config());
-        let items = concept_drift_stream(
-            &ds,
-            &StreamConfig {
-                segments: vec![DriftSegment::plain(0, 40), DriftSegment::plain(1, 40)],
-                seed: 5,
-            },
-        )
-        .unwrap();
-        for item in &items {
-            let outcome = session.ingest(&item.window).unwrap();
-            assert!(outcome.adapted.is_none(), "no drift in source-domain traffic");
-        }
-        assert!(session.events().is_empty());
-        assert_eq!(session.steps(), 80);
-        assert_eq!(session.snapshot().num_domains(), 3);
     }
 
     #[test]
     fn unseen_domain_triggers_enrolment_and_hot_swap() {
+        // Self-labelling (the default strategy): enrolment trains on the
+        // serving ensemble's own predictions.
         let ds = shifted_dataset(7);
-        let (train, _) = split::lodo(&ds, 3).unwrap();
-        let mut session = calibrated_session(&ds, &train, session_config());
-        let outside = session.serving_handle();
-        let before = outside.load();
-        assert_eq!(before.num_domains(), 3);
+        let engine = calibrated_engine(&ds, session_config());
+        let base = engine.base_snapshot();
+        let mut tenant = engine.session();
+        assert_eq!(tenant.num_domains(), 3);
 
         // 100 in-distribution windows, then the unseen user arrives on a
         // 1.5×-gain device.
-        let items = concept_drift_stream(
-            &ds,
-            &StreamConfig {
-                segments: vec![DriftSegment::plain(0, 100), drifted_segment(140)],
-                seed: 7 ^ 0xAA,
-            },
-        )
-        .unwrap();
+        let items = stream(&ds, vec![DriftSegment::plain(0, 100), drifted_segment(140)]);
         let mut adapted_at = None;
         for item in &items {
-            let outcome = session.ingest(&item.window).unwrap();
+            let outcome = tenant.ingest(&item.window).unwrap();
             if let Some(event) = outcome.adapted {
                 assert!(item.segment == 1, "no false fire on in-distribution traffic");
                 adapted_at = Some(event.step);
                 assert_eq!(event.tag, 3, "tags continue past the training tags");
-                assert!(event.enrolled_windows >= session.config().min_enroll);
+                assert!(event.enrolled_windows >= engine.config().min_enroll);
+                assert_eq!(event.oracle_labelled, 0, "self-labelled enrolment");
                 assert!(event.enroll_seconds >= 0.0 && event.swap_seconds >= 0.0);
                 break;
             }
         }
         assert!(adapted_at.is_some(), "sustained OOD traffic must fire the detector");
-        // Hot swap: the outside handle sees K+1 domains without being told,
-        // while the pre-swap Arc still serves the old model.
-        assert_eq!(outside.load().num_domains(), 4);
-        assert_eq!(before.num_domains(), 3);
-        assert_eq!(session.events().len(), 1);
-        assert_eq!(session.dense().num_domains().unwrap(), 4);
+        // The tenant now serves K+1 domains; the shared base still serves K.
+        assert_eq!(tenant.num_domains(), 4);
+        assert_eq!(tenant.events().len(), 1);
+        assert_eq!(base.num_domains(), 3);
+        assert_eq!(engine.base_snapshot().num_domains(), 3);
     }
 
     #[test]
     fn cooldown_and_domain_cap_bound_enrolment() {
         let ds = shifted_dataset(7);
-        let (train, _) = split::lodo(&ds, 3).unwrap();
         let config = StreamingConfig { max_enrolled_domains: 1, cooldown: 8, ..session_config() };
-        let mut session = calibrated_session(&ds, &train, config);
-        let items = concept_drift_stream(
-            &ds,
-            &StreamConfig { segments: vec![drifted_segment(240)], seed: 7 ^ 0xAA },
-        )
-        .unwrap();
-        for item in &items {
-            session.ingest(&item.window).unwrap();
+        let engine = calibrated_engine(&ds, config);
+        let mut tenant = engine.session();
+        for item in &stream(&ds, vec![drifted_segment(240)]) {
+            tenant.ingest(&item.window).unwrap();
         }
-        assert_eq!(session.events().len(), 1, "cap holds even under sustained drift");
-        assert_eq!(session.snapshot().num_domains(), 4);
+        assert_eq!(tenant.events().len(), 1, "cap holds even under sustained drift");
+        assert_eq!(tenant.num_domains(), 4);
     }
 
     #[test]
@@ -601,27 +301,20 @@ mod tests {
         // buffer; with a tight enrolment horizon only the fresh (drifted)
         // evidence may be trained on.
         let ds = shifted_dataset(7);
-        let (train, _) = split::lodo(&ds, 3).unwrap();
         let horizon = 48usize;
-        let config = StreamingConfig { enroll_horizon: horizon, ..session_config() };
-        let mut session = calibrated_session(&ds, &train, config);
-        let items = concept_drift_stream(
-            &ds,
-            &StreamConfig {
-                // 300 in-distribution steps accumulate plenty of stale
-                // low-δ entries before the drift begins.
-                segments: vec![DriftSegment::plain(0, 300), drifted_segment(140)],
-                seed: 7 ^ 0xAA,
-            },
-        )
-        .unwrap();
+        let engine =
+            calibrated_engine(&ds, StreamingConfig { enroll_horizon: horizon, ..session_config() });
+        let mut tenant = engine.session();
+        // 300 in-distribution steps accumulate plenty of stale low-δ
+        // entries before the drift begins.
+        let items = stream(&ds, vec![DriftSegment::plain(0, 300), drifted_segment(140)]);
         let mut event = None;
         let mut stale_buffered = 0usize;
         for item in &items {
             if item.step == 300 {
-                stale_buffered = session.buffered();
+                stale_buffered = tenant.buffered();
             }
-            let outcome = session.ingest(&item.window).unwrap();
+            let outcome = tenant.ingest(&item.window).unwrap();
             if outcome.adapted.is_some() && event.is_none() {
                 event = outcome.adapted;
             }
@@ -638,17 +331,12 @@ mod tests {
     #[test]
     fn oracle_labels_are_used_when_configured() {
         let ds = shifted_dataset(7);
-        let (train, _) = split::lodo(&ds, 3).unwrap();
         let config = StreamingConfig { label_strategy: LabelStrategy::Oracle, ..session_config() };
-        let mut session = calibrated_session(&ds, &train, config);
-        let items = concept_drift_stream(
-            &ds,
-            &StreamConfig { segments: vec![drifted_segment(200)], seed: 7 ^ 0xAA },
-        )
-        .unwrap();
+        let engine = calibrated_engine(&ds, config);
+        let mut tenant = engine.session();
         let mut event = None;
-        for item in &items {
-            let outcome = session.ingest_labelled(&item.window, item.label).unwrap();
+        for item in &stream(&ds, vec![drifted_segment(200)]) {
+            let outcome = tenant.ingest_labelled(&item.window, item.label).unwrap();
             if outcome.adapted.is_some() {
                 event = outcome.adapted;
                 break;
@@ -660,19 +348,6 @@ mod tests {
             "every buffered window carried ground truth"
         );
         // Label validation.
-        assert!(session.ingest_labelled(ds.window(0), 99).is_err());
-    }
-
-    #[test]
-    fn failed_ingest_leaves_session_usable() {
-        let ds = shifted_dataset(6);
-        let (train, _) = split::lodo(&ds, 3).unwrap();
-        let mut session = StreamingSmore::new(fitted(&ds, &train), session_config()).unwrap();
-        // Wrong channel count: typed error, not a panic.
-        assert!(session.ingest(&Matrix::zeros(24, 9)).is_err());
-        // The session keeps serving afterwards.
-        let outcome = session.ingest(ds.window(0)).unwrap();
-        assert!(outcome.prediction.label < 4);
-        assert_eq!(session.steps(), 1, "failed ingest does not consume a step");
+        assert!(tenant.ingest_labelled(ds.window(0), 99).is_err());
     }
 }

@@ -1,9 +1,9 @@
 //! Streaming domain adaptation, end to end: a model trained on three
 //! users serves a live stream; a fourth, never-seen user arrives
 //! mid-stream on a miscalibrated (1.5× gain) device; the drift detector
-//! fires on the sustained out-of-distribution mass; the session enrols the
-//! new domain online from its OOD buffer and hot-swaps the quantized
-//! serving snapshot — without ever taking serving offline.
+//! fires on the sustained out-of-distribution mass; the user's session
+//! enrols the new domain online from its OOD buffer into a personal delta
+//! over the shared base — without ever taking serving offline.
 //!
 //! ```text
 //! cargo run --release --example streaming_adaptation
@@ -13,7 +13,7 @@ use smore::{Smore, SmoreConfig};
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_data::split;
 use smore_data::stream::{concept_drift_stream, DriftSegment, StreamConfig};
-use smore_stream::{LabelStrategy, StreamingConfig, StreamingSmore};
+use smore_stream::{LabelStrategy, ServeEngine, StreamingConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     // Four users in four domains; the model trains on the first three.
@@ -41,11 +41,11 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     model.fit_indices(&dataset, &train)?;
     println!("trained on domains 1-3 ({} windows); domain 4 arrives later\n", train.len());
 
-    // Wrap the fitted model in a streaming session. Ground-truth labels
-    // arrive with the stream (delayed annotation), so enrolment can use
-    // them; swap to LabelStrategy::SelfLabel for the fully unsupervised
-    // variant.
-    let mut session = StreamingSmore::new(
+    // Wrap the fitted model in a serving engine and open one session for
+    // the stream. Ground-truth labels arrive with the stream (delayed
+    // annotation), so enrolment can use them; swap to
+    // LabelStrategy::SelfLabel for the fully unsupervised variant.
+    let mut engine = ServeEngine::new(
         model,
         StreamingConfig {
             buffer_capacity: 128,
@@ -58,13 +58,9 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         },
     )?;
     let (calib_w, _, _) = dataset.gather(&train);
-    let drift_delta = session.calibrate_drift_delta(&calib_w, 0.25)?;
+    let drift_delta = engine.calibrate_drift_delta(&calib_w, 0.25)?;
     println!("drift threshold calibrated from training traffic: δ = {drift_delta:.3}");
-
-    // A serving thread could hold this handle and never notice adaptation
-    // happening — every load() sees the latest hot-swapped snapshot.
-    let serving = session.serving_handle();
-    let pre_snapshot = session.snapshot();
+    let mut session = engine.session();
 
     // The stream: 100 in-distribution windows, then the new user (their
     // device reads 1.5× hot). The final 100 windows are held back to score
@@ -99,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         if let Some(event) = outcome.adapted {
             println!(
                 "  #{:<4} >>> drift fired: enrolled domain tag {} from {} buffered windows \
-                 ({:.1} ms train, {:.1} ms snapshot swap)",
+                 ({:.1} ms train, {:.1} ms delta append)",
                 item.step,
                 event.tag + 1,
                 event.enrolled_windows,
@@ -109,22 +105,24 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         }
     }
 
-    // Score the pre-enrolment and post-enrolment snapshots on the same
+    // Score the shared base and the user's personalized model on the same
     // held-back tail of new-user windows.
     let eval_w: Vec<_> =
         items.iter().filter(|i| i.segment == 2).map(|i| i.window.clone()).collect();
     let eval_l: Vec<_> = items.iter().filter(|i| i.segment == 2).map(|i| i.label).collect();
-    let pre = pre_snapshot.evaluate(&eval_w, &eval_l)?.accuracy;
-    let post = serving.load().evaluate(&eval_w, &eval_l)?.accuracy;
+    let pre = engine.base_snapshot().evaluate(&eval_w, &eval_l)?.accuracy;
+    let post = session.serving_model().evaluate(&eval_w, &eval_l)?.accuracy;
 
     println!("\nnew-user accuracy on {} held-back windows:", eval_w.len());
-    println!("  pre-enrolment ensemble : {:.1}%", 100.0 * pre);
-    println!("  post-enrolment (swapped): {:.1}%", 100.0 * post);
-    println!("  improvement            : {:+.1} points", 100.0 * (post - pre));
+    println!("  shared base ensemble    : {:.1}%", 100.0 * pre);
+    println!("  personalized (enrolled) : {:.1}%", 100.0 * post);
+    println!("  improvement             : {:+.1} points", 100.0 * (post - pre));
     println!(
-        "\nserving model now covers {} domains ({} enrolled online), swapped in-place",
-        serving.load().num_domains(),
-        session.events().len()
+        "\nthe user's model now covers {} domains ({} enrolled online); the shared base \
+         still serves {}",
+        session.num_domains(),
+        session.events().len(),
+        engine.base_snapshot().num_domains()
     );
     assert!(post - pre >= 0.10, "streaming enrolment should gain >= 10 points");
     Ok(())

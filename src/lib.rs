@@ -15,7 +15,7 @@
 //! - [`smore_serve`] — the network serving front-end: binary wire
 //!   protocol, tenant sharding, per-job serving, admission control
 //! - [`smore_stream`] — streaming adaptation: drift detection, online
-//!   domain enrolment, quantized snapshot hot-swap
+//!   domain enrolment into per-tenant deltas over a shared quantized base
 //! - [`smore_tensor`] — the linear-algebra substrate
 //!
 //! Every re-export resolves through this crate (compile-time check):

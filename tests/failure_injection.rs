@@ -7,7 +7,7 @@ use smore::{QuantizedSmore, Smore, SmoreConfig, SmoreError};
 use smore_baselines::baseline_hd::{BaselineHd, BaselineHdConfig};
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_hdc::encoder::{EncoderConfig, MultiSensorEncoder};
-use smore_stream::{StreamingConfig, StreamingSmore};
+use smore_stream::{ServeEngine, StreamingConfig};
 use smore_tensor::Matrix;
 
 fn dataset() -> smore_data::Dataset {
@@ -206,7 +206,7 @@ fn quantized_empty_batches_are_handled() {
 #[test]
 fn streaming_session_survives_malformed_ingest() {
     let ds = dataset();
-    let mut session = StreamingSmore::new(
+    let engine = ServeEngine::new(
         fitted_smore(),
         StreamingConfig {
             buffer_capacity: 16,
@@ -216,6 +216,7 @@ fn streaming_session_survives_malformed_ingest() {
         },
     )
     .unwrap();
+    let mut session = engine.session();
     // Wrong channel count and too-short windows: typed errors.
     assert!(matches!(session.ingest(&Matrix::zeros(16, 5)), Err(SmoreError::Hdc(_))));
     assert!(session.ingest(&Matrix::zeros(2, 2)).is_err());
@@ -236,13 +237,13 @@ fn streaming_session_survives_malformed_ingest() {
 
 #[test]
 fn streaming_calibration_rejects_bad_inputs() {
-    let mut session = StreamingSmore::new(fitted_smore(), StreamingConfig::default()).unwrap();
-    assert!(session.calibrate_drift_delta(&[], 0.25).is_err());
+    let mut engine = ServeEngine::new(fitted_smore(), StreamingConfig::default()).unwrap();
+    assert!(engine.calibrate_drift_delta(&[], 0.25).is_err());
     let w = vec![dataset().window(0).clone()];
-    assert!(session.calibrate_drift_delta(&w, 1.0).is_err());
-    assert!(session.calibrate_drift_delta(&w, -0.5).is_err());
+    assert!(engine.calibrate_drift_delta(&w, 1.0).is_err());
+    assert!(engine.calibrate_drift_delta(&w, -0.5).is_err());
     // A malformed calibration window propagates a typed error.
-    assert!(session.calibrate_drift_delta(&[Matrix::zeros(16, 9)], 0.25).is_err());
+    assert!(engine.calibrate_drift_delta(&[Matrix::zeros(16, 9)], 0.25).is_err());
 }
 
 #[test]

@@ -1,15 +1,14 @@
 //! Integration test for the streaming adaptation path (the
 //! `streaming_adaptation` example's contract): a held-out domain arrives
-//! mid-stream, the drift detector fires, a new domain is enrolled online,
-//! the quantized serving snapshot is hot-swapped, and post-enrolment
-//! accuracy on the new domain improves by at least 10 points over the
-//! pre-enrolment ensemble.
+//! mid-stream, the tenant's drift detector fires, a new domain is enrolled
+//! online into the tenant's delta, and post-enrolment accuracy on the new
+//! domain improves by at least 10 points over the shared base.
 
 use smore::{Smore, SmoreConfig};
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_data::split;
 use smore_data::stream::{concept_drift_stream, DriftSegment, StreamConfig};
-use smore_stream::{LabelStrategy, StreamingConfig, StreamingSmore};
+use smore_stream::{LabelStrategy, ServeEngine, StreamingConfig};
 
 fn dataset() -> smore_data::Dataset {
     generate(&GeneratorConfig {
@@ -50,7 +49,7 @@ fn drift_enrolment_hot_swap_improves_new_domain_accuracy() {
     .unwrap();
     model.fit_indices(&ds, &train).unwrap();
 
-    let mut session = StreamingSmore::new(
+    let mut engine = ServeEngine::new(
         model,
         StreamingConfig {
             buffer_capacity: 128,
@@ -64,13 +63,9 @@ fn drift_enrolment_hot_swap_improves_new_domain_accuracy() {
     )
     .unwrap();
     let (calib_w, _, _) = ds.gather(&train);
-    session.calibrate_drift_delta(&calib_w, 0.25).unwrap();
-
-    // External serving handle taken *before* any adaptation, plus a pinned
-    // pre-enrolment snapshot — the hot-swap evidence.
-    let serving = session.serving_handle();
-    let pre_snapshot = session.snapshot();
-    assert_eq!(pre_snapshot.num_domains(), 3);
+    engine.calibrate_drift_delta(&calib_w, 0.25).unwrap();
+    let mut session = engine.session();
+    assert_eq!(session.num_domains(), 3);
 
     // 100 in-distribution windows, then the unseen user; the final 100
     // windows are held back to score pre vs post serving on the same data.
@@ -103,23 +98,19 @@ fn drift_enrolment_hot_swap_improves_new_domain_accuracy() {
         "detection latency out of range: fired at step {fired_step}"
     );
 
-    // Hot-swap: the pinned pre-enrolment Arc still serves the old 3-domain
-    // model, while the serving handle observes the enrolled domain(s).
-    assert_eq!(pre_snapshot.num_domains(), 3);
-    assert!(serving.load().num_domains() > 3, "handle must observe the swap");
-    assert_eq!(
-        serving.load().num_domains(),
-        session.dense().num_domains().unwrap(),
-        "serving snapshot and dense model agree on K"
-    );
+    // The enrolled domains live in the tenant's delta: the tenant serves
+    // them on top of the base, and the shared base is untouched.
+    assert_eq!(engine.base_snapshot().num_domains(), 3);
+    assert_eq!(session.num_domains(), 3 + session.events().len());
+    assert!(session.is_personalized());
 
     // Accuracy contract: ≥ 10 points improvement on the held-back tail of
-    // new-domain windows, scored against the pre-enrolment ensemble.
+    // new-domain windows, scored against the shared base.
     let eval_w: Vec<_> =
         items.iter().filter(|i| i.segment == 2).map(|i| i.window.clone()).collect();
     let eval_l: Vec<_> = items.iter().filter(|i| i.segment == 2).map(|i| i.label).collect();
-    let pre = pre_snapshot.evaluate(&eval_w, &eval_l).unwrap().accuracy;
-    let post = serving.load().evaluate(&eval_w, &eval_l).unwrap().accuracy;
+    let pre = engine.base_snapshot().evaluate(&eval_w, &eval_l).unwrap().accuracy;
+    let post = session.serving_model().evaluate(&eval_w, &eval_l).unwrap().accuracy;
     assert!(
         post - pre >= 0.10,
         "post-enrolment accuracy {post} must beat pre-enrolment {pre} by >= 10 points"
