@@ -39,6 +39,26 @@ impl Default for HdcClassifierConfig {
     }
 }
 
+/// Checks `config` without building a model: `dim` and `num_classes`
+/// positive, the learning rate in `(0, 1]`, `epochs` positive.
+fn validate(config: &HdcClassifierConfig) -> Result<()> {
+    if config.dim == 0 {
+        return Err(HdcError::InvalidConfig { what: "classifier dim must be positive".into() });
+    }
+    if config.num_classes == 0 {
+        return Err(HdcError::InvalidConfig { what: "classifier needs at least one class".into() });
+    }
+    if !(config.learning_rate > 0.0 && config.learning_rate <= 1.0) {
+        return Err(HdcError::InvalidConfig {
+            what: format!("learning rate must be in (0, 1], got {}", config.learning_rate),
+        });
+    }
+    if config.epochs == 0 {
+        return Err(HdcError::InvalidConfig { what: "epochs must be positive".into() });
+    }
+    Ok(())
+}
+
 /// Report returned by [`HdcClassifier::fit`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FitReport {
@@ -97,22 +117,7 @@ impl HdcClassifier {
     /// Returns [`HdcError::InvalidConfig`] when `dim` or `num_classes` is
     /// zero, the learning rate is not in `(0, 1]`, or `epochs` is zero.
     pub fn new(config: HdcClassifierConfig) -> Result<Self> {
-        if config.dim == 0 {
-            return Err(HdcError::InvalidConfig { what: "classifier dim must be positive".into() });
-        }
-        if config.num_classes == 0 {
-            return Err(HdcError::InvalidConfig {
-                what: "classifier needs at least one class".into(),
-            });
-        }
-        if !(config.learning_rate > 0.0 && config.learning_rate <= 1.0) {
-            return Err(HdcError::InvalidConfig {
-                what: format!("learning rate must be in (0, 1], got {}", config.learning_rate),
-            });
-        }
-        if config.epochs == 0 {
-            return Err(HdcError::InvalidConfig { what: "epochs must be positive".into() });
-        }
+        validate(&config)?;
         Ok(Self { class_hvs: Matrix::zeros(config.num_classes, config.dim), config })
     }
 
@@ -153,8 +158,7 @@ impl HdcClassifier {
         let mut model = Self::from_class_hypervectors(class_hvs)?;
         model.config.learning_rate = learning_rate;
         model.config.epochs = epochs;
-        // Re-run validation with the final values.
-        Self::new(model.config.clone())?;
+        validate(&model.config)?;
         Ok(model)
     }
 
@@ -630,6 +634,7 @@ mod tests {
         // Invalid hyper-parameters are rejected.
         let m = Matrix::from_vec(2, 4, vec![0.5; 8]).unwrap();
         assert!(HdcClassifier::from_class_hypervectors_with(m.clone(), 0.0, 7).is_err());
+        assert!(HdcClassifier::from_class_hypervectors_with(m.clone(), 1.5, 7).is_err());
         assert!(HdcClassifier::from_class_hypervectors_with(m, 0.2, 0).is_err());
     }
 

@@ -22,7 +22,7 @@
 
 use smore_hdc::{HdcError, Hypervector};
 
-use crate::hypervector::PackedHypervector;
+use crate::hypervector::{PackedHypervector, WORD_BITS};
 use crate::Result;
 
 /// A dense vector approximated by scaled packed sign planes.
@@ -177,11 +177,18 @@ impl ResidualPacked {
     }
 
     /// Reconstructs the dense approximation `Σ_b α_b · sign(r_b)`.
+    ///
+    /// Each plane is walked a storage word at a time (one 64-dimension
+    /// chunk of the output per word), adding the planes in construction
+    /// order — so every output value is the same f32 sum, bit for bit, as
+    /// a per-dimension walk.
     pub fn to_dense(&self) -> Hypervector {
         let mut out = vec![0.0f32; self.dim];
         for &(alpha, ref plane) in &self.planes {
-            for (i, o) in out.iter_mut().enumerate() {
-                *o += if plane.get(i) { -alpha } else { alpha };
+            for (chunk, &word) in out.chunks_mut(WORD_BITS).zip(plane.words()) {
+                for (b, o) in chunk.iter_mut().enumerate() {
+                    *o += if (word >> b) & 1 == 1 { -alpha } else { alpha };
+                }
             }
         }
         Hypervector::from_vec(out)

@@ -1,6 +1,7 @@
 //! Property-based tests for the bit-packed binary backend: round-trip sign
 //! agreement, XOR-bind reversibility, rotation/permutation equivalence with
-//! the dense substrate, and dense-vs-packed classifier agreement.
+//! the dense substrate, dense-vs-packed classifier agreement, and the
+//! residual planes' dense reconstruction.
 
 use proptest::prelude::*;
 use smore_hdc::encoder::EncoderConfig;
@@ -8,11 +9,24 @@ use smore_hdc::model::HdcClassifier;
 use smore_hdc::Hypervector;
 use smore_packed::{
     EncoderScratch, PackedAccumulator, PackedClassifier, PackedHypervector, PackedNgramEncoder,
+    ResidualPacked,
 };
 use smore_tensor::{init, Matrix};
 
 fn bipolar_hv(seed: u64, dim: usize) -> Vec<f32> {
     init::bipolar_vec(&mut init::rng(seed), dim)
+}
+
+/// `ResidualPacked::to_dense` as a per-dimension walk over the planes —
+/// the reference its word-at-a-time walk must match bit for bit.
+fn to_dense_per_bit(r: &ResidualPacked) -> Vec<u32> {
+    let mut out = vec![0.0f32; r.dim()];
+    for &(alpha, ref plane) in r.planes() {
+        for (i, o) in out.iter_mut().enumerate() {
+            *o += if plane.get(i) { -alpha } else { alpha };
+        }
+    }
+    out.iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -162,6 +176,21 @@ proptest! {
             agree as f32 / queries as f32 >= 0.95,
             "agreement {}/{} below 95%", agree, queries
         );
+    }
+
+    #[test]
+    fn residual_to_dense_is_bit_exact_to_the_per_bit_walk(
+        seed in any::<u64>(),
+        dim in 1usize..300,
+        planes in 1usize..=3,
+    ) {
+        // Random ragged dims, plus 70 and 200: a partial last word each.
+        for dim in [dim, 70, 200] {
+            let values = init::normal_vec(&mut init::rng(seed), dim);
+            let r = ResidualPacked::from_dense(&values, planes).unwrap();
+            let fast: Vec<u32> = r.to_dense().as_slice().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(fast, to_dense_per_bit(&r));
+        }
     }
 
     #[test]

@@ -19,7 +19,11 @@
 //!
 //! Every write goes temp file → (fsync) → atomic rename, so a reader
 //! never observes a half-written `*.smore` file: a crash mid-write
-//! leaves only a `.tmp` orphan, which the next scan quarantines. Files
+//! leaves only a `.tmp` orphan, which the next scan quarantines.
+//! Rehydrating a tenant ([`StateDir::take`]) reads its file and leaves it
+//! on disk; when the session is evicted again unchanged, the store hands
+//! that same file back to the index ([`StateDir::reindex`]) instead of
+//! writing it anew, so a predict-only visit costs one file read. Files
 //! the scan cannot vouch for — bad magic, wrong kind, truncated header
 //! — are *renamed* to `*.quarantine`, never deleted: the operator can
 //! inspect or repair them, and the tenant simply re-enrols fresh.
@@ -31,12 +35,14 @@
 //!
 //! - [`Sync`](FlushPolicy::Sync): every archive write is fsynced (file
 //!   and directory) before it returns — a suspended tenant survives a
-//!   power cut the moment its eviction completes.
+//!   power cut the moment its eviction completes. A re-indexed file gets
+//!   the same two fsyncs, without the write.
 //! - [`OnEvict`](FlushPolicy::OnEvict) (default): the file is written
 //!   and atomically renamed at eviction, but fsync is deferred to
 //!   [`StateDir::flush`] (called by graceful drain). The serving path
 //!   never blocks on fsync; an unclean kill can lose writes the OS had
-//!   not yet flushed — but never corrupt one, thanks to the rename.
+//!   not yet flushed — but never corrupt one, thanks to the rename. A
+//!   re-indexed file joins the same deferred set as a written one.
 //!
 //! # Sharding
 //!
@@ -109,7 +115,9 @@ pub struct StateDir {
     /// Committed, validated files owned by this instance: tenant →
     /// artifact bytes on disk.
     index: HashMap<u64, u64>,
-    /// Tenants written but not yet fsynced (only under `OnEvict`).
+    /// Tenants written or re-indexed but not yet fsynced (only under
+    /// `OnEvict`). [`Self::take`] keeps a tenant here: its file stays on
+    /// disk as the crash fallback.
     unsynced: HashSet<u64>,
     /// Sum of `index` values, maintained incrementally.
     indexed_bytes: u64,
@@ -167,8 +175,7 @@ impl StateDir {
             match parse_name(name) {
                 Some((tenant, true)) if owns(tenant) => match self.validate_header(&path) {
                     Ok(len) => {
-                        self.indexed_bytes += len;
-                        self.index.insert(tenant, len);
+                        self.index_file(tenant, len);
                         self.recovered += 1;
                     }
                     Err(reason) => self.quarantine_path(&path, &reason),
@@ -286,10 +293,7 @@ impl StateDir {
                 if self.policy == FlushPolicy::OnEvict {
                     self.unsynced.insert(tenant);
                 }
-                if let Some(stale) = self.index.insert(tenant, bytes.len() as u64) {
-                    self.indexed_bytes = self.indexed_bytes.saturating_sub(stale);
-                }
-                self.indexed_bytes += bytes.len() as u64;
+                self.index_file(tenant, bytes.len() as u64);
                 Ok(())
             }
             Err(e) => {
@@ -324,9 +328,12 @@ impl StateDir {
 
     /// Reads `tenant`'s committed bytes and drops them from the index —
     /// the archived → resident transition. The *file stays on disk* as
-    /// the crash fallback until the next write overwrites it; callers
-    /// that fail to resume from the bytes should [`Self::quarantine`]
-    /// the file instead of retrying.
+    /// the crash fallback until the next write overwrites it, and a write
+    /// still awaiting its deferred fsync stays in the set [`Self::flush`]
+    /// syncs. That file is also what [`Self::reindex`] hands back to the
+    /// index when the resumed session is evicted unchanged. Callers that
+    /// fail to resume from the bytes should [`Self::quarantine`] the file
+    /// instead of retrying.
     ///
     /// # Errors
     ///
@@ -335,12 +342,50 @@ impl StateDir {
     pub fn take(&mut self, tenant: u64) -> Result<Option<Vec<u8>>> {
         let Some(len) = self.index.remove(&tenant) else { return Ok(None) };
         self.indexed_bytes = self.indexed_bytes.saturating_sub(len);
-        self.unsynced.remove(&tenant);
         let path = self.path_for(tenant);
         match fs::read(&path) {
             Ok(bytes) => Ok(Some(bytes)),
             Err(e) => Err(SmoreError::io(path.display().to_string(), &e)),
         }
+    }
+
+    /// Hands `tenant`'s committed file, `len` bytes long, back to the
+    /// index after [`Self::take`] — a clean eviction: the session resumed
+    /// from that file has not changed since, so the file already holds
+    /// its state and nothing is written. [`Self::len`] and
+    /// [`Self::total_bytes`] return to their pre-`take` values. The
+    /// durability matches a rewrite of the same bytes: under
+    /// [`FlushPolicy::Sync`] the file and the directory are fsynced before
+    /// this returns; under [`FlushPolicy::OnEvict`] the tenant joins the
+    /// set [`Self::flush`] syncs.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SmoreError::Io`] when a [`FlushPolicy::Sync`] fsync
+    /// fails; the tenant stays unindexed, and the caller falls back to
+    /// [`Self::write`].
+    pub fn reindex(&mut self, tenant: u64, len: u64) -> Result<()> {
+        let path = self.path_for(tenant);
+        match self.policy {
+            FlushPolicy::Sync => File::open(&path)
+                .and_then(|f| f.sync_all())
+                .and_then(|()| File::open(&self.dir)?.sync_all())
+                .map_err(|e| SmoreError::io(path.display().to_string(), &e))?,
+            FlushPolicy::OnEvict => {
+                self.unsynced.insert(tenant);
+            }
+        }
+        self.index_file(tenant, len);
+        Ok(())
+    }
+
+    /// Indexes `tenant`'s committed file at `len` bytes, replacing any
+    /// stale entry in the byte total.
+    fn index_file(&mut self, tenant: u64, len: u64) {
+        if let Some(stale) = self.index.insert(tenant, len) {
+            self.indexed_bytes = self.indexed_bytes.saturating_sub(stale);
+        }
+        self.indexed_bytes += len;
     }
 
     /// Quarantines `tenant`'s on-disk file (committed name), if present.
@@ -374,8 +419,8 @@ impl StateDir {
             let path = self.path_for(tenant);
             let result = File::open(&path).and_then(|f| f.sync_all());
             if let Err(e) = result {
-                // A file taken back to residency after its write is
-                // already unindexed; anything else is a real failure.
+                // A file that is gone has nothing left to sync; anything
+                // else is a real failure.
                 if e.kind() != std::io::ErrorKind::NotFound {
                     self.write_failures += 1;
                     first_err.get_or_insert_with(|| SmoreError::io(path.display().to_string(), &e));
@@ -395,6 +440,12 @@ impl StateDir {
 
     fn path_for(&self, tenant: u64) -> PathBuf {
         self.dir.join(format!("tenant-{tenant}.{STATE_EXT}"))
+    }
+
+    /// Whether `tenant` is in the set [`Self::flush`] fsyncs.
+    #[cfg(test)]
+    pub(crate) fn awaits_flush(&self, tenant: u64) -> bool {
+        self.unsynced.contains(&tenant)
     }
 }
 
@@ -571,6 +622,75 @@ mod tests {
         assert!(sync.unsynced.is_empty());
         let _ = fs::remove_dir_all(&dir);
         let _ = fs::remove_dir_all(sync.dir());
+    }
+
+    /// The inode behind `path`: a rewrite renames a new one over it.
+    #[cfg(unix)]
+    fn inode(path: &Path) -> u64 {
+        std::os::unix::fs::MetadataExt::ino(&fs::metadata(path).unwrap())
+    }
+
+    /// take → reindex hands the very file back: same inode, no temp
+    /// file, the index and byte total as before the take — and under
+    /// `OnEvict` a write still awaiting its fsync stays owed to flush().
+    #[cfg(unix)]
+    #[test]
+    fn reindex_after_take_keeps_the_file_and_its_pending_fsync() {
+        let dir = scratch_dir("reindex");
+        let payload = delta_header_bytes(0x5A);
+        let mut state = StateDir::open(&dir, FlushPolicy::OnEvict, |_| true).unwrap();
+        state.write(3, &payload).unwrap();
+        state.write(4, &delta_header_bytes(4)).unwrap();
+        let (len, bytes) = (state.len(), state.total_bytes());
+        let path = dir.join("tenant-3.smore");
+        let ino = inode(&path);
+
+        assert_eq!(state.take(3).unwrap().as_deref(), Some(payload.as_slice()));
+        assert!(state.awaits_flush(3), "take must not forget an unsynced write");
+        state.reindex(3, payload.len() as u64).unwrap();
+        assert!(state.contains(3));
+        assert_eq!((state.len(), state.total_bytes()), (len, bytes));
+        assert_eq!(inode(&path), ino, "a clean eviction must not rewrite the file");
+        assert!(!dir.join("tenant-3.tmp").exists());
+        assert!(state.awaits_flush(3));
+        state.flush().unwrap();
+        assert!(!state.awaits_flush(3));
+
+        // A synced file re-indexed under OnEvict is owed a flush again,
+        // as a rewrite of it would be.
+        state.take(3).unwrap().unwrap();
+        state.reindex(3, payload.len() as u64).unwrap();
+        assert!(state.awaits_flush(3));
+        state.flush().unwrap();
+
+        // Sync: the fsyncs run at once and nothing is deferred.
+        drop(state);
+        let mut sync = StateDir::open(&dir, FlushPolicy::Sync, |_| true).unwrap();
+        assert_eq!(sync.take(3).unwrap().as_deref(), Some(payload.as_slice()));
+        sync.reindex(3, payload.len() as u64).unwrap();
+        assert!(!sync.awaits_flush(3));
+        assert_eq!((sync.len(), sync.total_bytes()), (len, bytes));
+        assert_eq!(inode(&path), ino);
+        drop(sync);
+        let reopened = StateDir::open(&dir, FlushPolicy::Sync, |_| true).unwrap();
+        assert_eq!((reopened.recovered(), reopened.quarantined()), (2, 0));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A Sync re-index that cannot fsync fails typed and leaves the tenant
+    /// unindexed, so the caller falls back to a write.
+    #[test]
+    fn sync_reindex_of_a_vanished_dir_fails_and_stays_unindexed() {
+        let dir = scratch_dir("reindex_gone");
+        let payload = delta_header_bytes(8);
+        let mut state = StateDir::open(&dir, FlushPolicy::Sync, |_| true).unwrap();
+        state.write(8, &payload).unwrap();
+        state.take(8).unwrap().unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+        let err = state.reindex(8, payload.len() as u64).unwrap_err();
+        assert!(matches!(err, SmoreError::Io { .. }), "{err}");
+        assert!(!state.contains(8));
+        assert_eq!(state.total_bytes(), 0);
     }
 
     #[test]

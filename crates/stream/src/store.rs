@@ -18,7 +18,14 @@
 //!   suspends to its compact delta artifact — KiB against the ~half-MiB a
 //!   resident full-model clone used to pin — and a never-personalized
 //!   session is simply dropped, because the engine can rebuild it from
-//!   nothing.
+//!   nothing. A session rehydrated from a committed state-dir file that
+//!   has not ingested since (its `steps()` is unchanged; predicts never
+//!   advance it) is evicted *clean*: the file still holds exactly its
+//!   state, so it is handed back to the [`StateDir`] index
+//!   ([`StateDir::reindex`]) with no suspend and no write. Every other
+//!   session — one that ingested or enrolled, a fresh one, one restored
+//!   from the in-memory overflow or the memory tier — suspends and
+//!   writes.
 //!
 //! Every eviction and rehydration is journalled
 //! ([`EventKind::SessionEvicted`] / [`EventKind::SessionHydrated`]) when
@@ -122,19 +129,32 @@ impl ArchiveTier {
     }
 
     /// Removes and returns `tenant`'s archived bytes, reading through
-    /// memory → disk.
-    fn take(&mut self, tenant: u64) -> Result<Option<Vec<u8>>> {
+    /// memory → disk. The flag is true when the bytes are a committed
+    /// state-dir file's, which stays on disk for [`Self::reindex`].
+    fn take(&mut self, tenant: u64) -> Result<Option<(Vec<u8>, bool)>> {
         match self {
-            ArchiveTier::Memory { map, bytes: total } => Ok(map.remove(&tenant).inspect(|b| {
+            ArchiveTier::Memory { map, bytes: total } => Ok(map.remove(&tenant).map(|b| {
                 *total = total.saturating_sub(b.len());
+                (b, false)
             })),
             ArchiveTier::Disk { state, overflow, overflow_bytes } => {
                 if let Some(bytes) = overflow.remove(&tenant) {
                     *overflow_bytes = overflow_bytes.saturating_sub(bytes.len());
-                    return Ok(Some(bytes));
+                    return Ok(Some((bytes, false)));
                 }
-                state.take(tenant)
+                Ok(state.take(tenant)?.map(|b| (b, true)))
             }
+        }
+    }
+
+    /// Hands `tenant`'s committed file, `len` bytes long, back to the disk
+    /// index ([`StateDir::reindex`]). Returns false when there is no disk
+    /// tier or a sync-policy fsync failed: the caller then suspends and
+    /// writes, and that write reports a disk that stays faulty.
+    fn reindex(&mut self, tenant: u64, len: usize) -> bool {
+        match self {
+            ArchiveTier::Memory { .. } => false,
+            ArchiveTier::Disk { state, .. } => state.reindex(tenant, len as u64).is_ok(),
         }
     }
 
@@ -171,6 +191,20 @@ struct Entry {
     /// Personal-state bytes counted toward the store's byte budget at the
     /// tenant's last access.
     delta_bytes: usize,
+    /// The committed state-dir file the session was rehydrated from, if
+    /// any; eviction re-indexes it while the session is still clean.
+    file: Option<HydratedFile>,
+}
+
+/// A committed state-dir file a session was rehydrated from.
+#[derive(Debug, Clone, Copy)]
+struct HydratedFile {
+    /// File length in bytes.
+    len: usize,
+    /// The session's `steps()` right after rehydration. Only an ingest
+    /// advances it, so while it is unchanged the file holds exactly the
+    /// session's state.
+    steps: usize,
 }
 
 /// A bounded, LRU-evicting map from tenant id to resident
@@ -414,8 +448,9 @@ impl SessionStore {
             self.lru.insert(tick, tenant);
             return Ok(());
         }
+        let mut file = None;
         let session = match self.tier.take(tenant)? {
-            Some(bytes) => {
+            Some((bytes, committed)) => {
                 let t0 = Instant::now();
                 match self.engine.resume_session(tenant, &bytes) {
                     Ok(session) => {
@@ -428,6 +463,9 @@ impl SessionStore {
                             b: session.delta().map_or(0, |d| d.num_domains()) as u64,
                             nanos: elapsed_nanos(t0),
                         });
+                        if committed {
+                            file = Some(HydratedFile { len: bytes.len(), steps: session.steps() });
+                        }
                         session
                     }
                     Err(e) => {
@@ -454,7 +492,7 @@ impl SessionStore {
         };
         let delta_bytes = session.delta_storage_bytes();
         self.resident_delta_bytes += delta_bytes;
-        self.resident.insert(tenant, Entry { session, tick, delta_bytes });
+        self.resident.insert(tenant, Entry { session, tick, delta_bytes, file });
         self.lru.insert(tick, tenant);
         Ok(())
     }
@@ -475,7 +513,8 @@ impl SessionStore {
         }
     }
 
-    /// Suspends and removes one resident: personalized sessions archive
+    /// Removes one resident: a clean rehydrated session hands its file
+    /// back to the index, other personalized sessions suspend and archive
     /// their delta bytes, base-only sessions vanish (the engine rebuilds
     /// them from nothing).
     fn evict_entry(&mut self, tick: u64, tenant: u64) {
@@ -483,13 +522,21 @@ impl SessionStore {
         let Some(entry) = self.resident.remove(&tenant) else { return };
         self.resident_delta_bytes = self.resident_delta_bytes.saturating_sub(entry.delta_bytes);
         let step = entry.session.steps() as u64;
-        let t0 = Instant::now();
-        let archived = entry.session.suspend();
-        let nanos = elapsed_nanos(t0);
-        let archived_len = archived.as_ref().map_or(0, Vec::len);
-        if let Some(bytes) = archived {
-            self.tier.insert(tenant, bytes);
-        }
+        let clean = entry.file.filter(|f| f.steps == entry.session.steps());
+        let (archived_len, nanos) = match clean {
+            // Nothing to serialize: the file already holds this state.
+            Some(file) if self.tier.reindex(tenant, file.len) => (file.len, 0),
+            _ => {
+                let t0 = Instant::now();
+                let archived = entry.session.suspend();
+                let nanos = elapsed_nanos(t0);
+                let archived_len = archived.as_ref().map_or(0, Vec::len);
+                if let Some(bytes) = archived {
+                    self.tier.insert(tenant, bytes);
+                }
+                (archived_len, nanos)
+            }
+        };
         self.evictions += 1;
         self.emit(Event {
             kind: EventKind::SessionEvicted,
@@ -501,10 +548,11 @@ impl SessionStore {
         });
     }
 
-    /// Suspends **every** resident session — the graceful-drain phase of
-    /// a shutdown — and flushes the durable tier, so a restart over the
+    /// Evicts **every** resident session — the graceful-drain phase of a
+    /// shutdown — and flushes the durable tier, so a restart over the
     /// same state dir rehydrates each personalized tenant bit-exactly.
-    /// Returns how many suspended sessions carried personal state.
+    /// Clean rehydrated sessions re-index their files; the rest suspend.
+    /// Returns how many evicted sessions carried personal state.
     ///
     /// Meaningful for a persistent store; on an in-memory store it only
     /// moves residents to the (equally volatile) archive.
@@ -875,6 +923,151 @@ mod tests {
         SessionStore::new_persistent(Arc::clone(engine), cap, usize::MAX, state).unwrap()
     }
 
+    /// Base-only traffic from tenants `from..from + 3`: enough to push
+    /// every resident out of a two-session store.
+    fn push_out(store: &mut SessionStore, ds: &smore_data::Dataset, from: u64) {
+        let window = ds.window(0);
+        for tenant in from..from + 3 {
+            store.with_session(tenant, |s| s.predict_window(window).unwrap().label).unwrap();
+        }
+    }
+
+    /// Held-out drifted windows to compare `tenant`'s predictions on.
+    fn eval_windows(ds: &smore_data::Dataset) -> Vec<Matrix> {
+        stormy(ds).iter().filter(|i| i.segment == 1).take(8).map(|i| i.window.clone()).collect()
+    }
+
+    /// `tenant`'s predictions on `eval`, in order.
+    fn predict_all(
+        store: &mut SessionStore,
+        tenant: u64,
+        eval: &[Matrix],
+    ) -> Vec<smore::Prediction> {
+        store
+            .with_session(tenant, |s| {
+                eval.iter().map(|w| s.predict_window(w).unwrap().clone()).collect()
+            })
+            .unwrap()
+    }
+
+    /// Whether `tenant` is in the set the store's next flush fsyncs.
+    fn awaits_flush(store: &SessionStore, tenant: u64) -> bool {
+        match &store.tier {
+            ArchiveTier::Disk { state, .. } => state.awaits_flush(tenant),
+            ArchiveTier::Memory { .. } => false,
+        }
+    }
+
+    /// Inode of `path`: a rewrite renames a new one over it.
+    #[cfg(unix)]
+    fn inode(path: &std::path::Path) -> u64 {
+        std::os::unix::fs::MetadataExt::ino(&std::fs::metadata(path).unwrap())
+    }
+
+    /// A predict-only visit to a tenant rehydrated from its state file
+    /// evicts clean: the very file goes back to the index (same inode, no
+    /// temp file), the archive gauges read as before the visit, the
+    /// eviction is counted and journalled with the file's length, and the
+    /// next rehydrate predicts bit-exactly.
+    #[cfg(unix)]
+    #[test]
+    fn predict_only_visit_evicts_clean_without_rewriting_the_file() {
+        let ds = shifted_dataset(7);
+        let (train, _) = split::lodo(&ds, 3).unwrap();
+        let mut engine = calibrated_engine(&ds, &train);
+        let journal = Arc::new(EventJournal::new(4096));
+        engine.set_journal(Arc::clone(&journal));
+        let dir = scratch_dir("clean");
+        let mut store = persistent_store(&Arc::new(engine), &dir, 2, FlushPolicy::OnEvict);
+        personalize(&mut store, 1, &stormy(&ds));
+        push_out(&mut store, &ds, 2);
+        let path = dir.join("tenant-1.smore");
+        let (ino, len) = (inode(&path), std::fs::metadata(&path).unwrap().len());
+        let gauges = (store.archived_tenants(), store.archived_bytes());
+        let evictions = store.evictions();
+
+        let eval = eval_windows(&ds);
+        let before = predict_all(&mut store, 1, &eval);
+        assert!(store.is_resident(1));
+        assert_eq!(store.archived_tenants(), gauges.0 - 1);
+        push_out(&mut store, &ds, 5);
+        assert!(!store.is_resident(1));
+        assert!(store.has_archived(1));
+        assert_eq!(inode(&path), ino, "a predict-only visit must not rewrite the file");
+        assert!(!dir.join("tenant-1.tmp").exists());
+        assert_eq!((store.archived_tenants(), store.archived_bytes()), gauges);
+        assert_eq!(store.evictions(), evictions + 4, "tenants 3, 4, 1 and 5");
+        let evicted: Vec<u64> = journal
+            .snapshot()
+            .events
+            .iter()
+            .filter(|e| e.kind == EventKind::SessionEvicted && e.tenant == 1)
+            .map(|e| e.a)
+            .collect();
+        assert_eq!(evicted, [len, len], "the write and the clean eviction both carry its length");
+
+        assert_eq!(predict_all(&mut store, 1, &eval), before);
+        assert_eq!(store.hydrations(), 2);
+        assert_eq!(store.state_write_failures(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// One ingest after rehydration makes the session dirty: its eviction
+    /// rewrites the file, and the rewritten state is what comes back.
+    #[cfg(unix)]
+    #[test]
+    fn one_ingest_after_rehydration_rewrites_the_file() {
+        let (ds, engine) = fixture();
+        let dir = scratch_dir("dirty");
+        let mut store = persistent_store(engine, &dir, 2, FlushPolicy::OnEvict);
+        personalize(&mut store, 1, &stormy(ds));
+        push_out(&mut store, ds, 2);
+        let path = dir.join("tenant-1.smore");
+        let ino = inode(&path);
+
+        let item = &stormy(ds)[0];
+        let steps = store
+            .with_session(1, |s| {
+                s.ingest_labelled(&item.window, item.label).unwrap();
+                s.steps()
+            })
+            .unwrap();
+        push_out(&mut store, ds, 5);
+        assert_ne!(inode(&path), ino, "an ingest must make the eviction write");
+        assert!(!dir.join("tenant-1.tmp").exists());
+        assert_eq!(store.with_session(1, |s| s.steps()).unwrap(), steps);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Under `OnEvict`, a write whose fsync was still deferred when the
+    /// tenant rehydrated stays owed to flush() through the clean eviction;
+    /// a drain pays it, and a store reopened over the directory serves
+    /// bit-exactly.
+    #[test]
+    fn clean_eviction_keeps_a_deferred_fsync_owed_to_the_drain() {
+        let (ds, engine) = fixture();
+        let dir = scratch_dir("clean_flush");
+        let eval = eval_windows(ds);
+        let before;
+        {
+            let mut store = persistent_store(engine, &dir, 2, FlushPolicy::OnEvict);
+            personalize(&mut store, 1, &stormy(ds));
+            push_out(&mut store, ds, 2);
+            assert!(awaits_flush(&store, 1));
+            before = predict_all(&mut store, 1, &eval);
+            assert!(awaits_flush(&store, 1), "rehydration must not forget the deferred fsync");
+            push_out(&mut store, ds, 5);
+            assert!(store.has_archived(1));
+            assert!(awaits_flush(&store, 1), "nor may the clean eviction");
+            store.drain().unwrap();
+            assert!(!awaits_flush(&store, 1));
+        }
+        let mut store = persistent_store(engine, &dir, 2, FlushPolicy::OnEvict);
+        assert_eq!(store.state_recovered(), 1);
+        assert_eq!(predict_all(&mut store, 1, &eval), before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// The PR 8 suspend/resume invariant, now across a (conceptual)
     /// process boundary: evict to disk, drop the store entirely, build a
     /// fresh one over the same directory — the scan recovers the state
@@ -974,8 +1167,12 @@ mod tests {
         assert_eq!(store.state_quarantined(), 1);
         assert!(dir.join("tenant-1.smore.quarantine").exists(), "kept for inspection");
         assert!(!store.has_archived(1));
-        // Next access is a fresh session off the shared base, not an error.
+        // Next access is a fresh session off the shared base, not an error,
+        // and evicting it neither re-indexes nor writes anything.
         assert_eq!(store.with_session(1, |s| s.steps()).unwrap(), 0);
+        push_out(&mut store, ds, 2);
+        assert!(!store.has_archived(1));
+        assert!(!dir.join("tenant-1.smore").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1020,6 +1217,16 @@ mod tests {
             })
             .unwrap();
         assert_eq!(after, before, "overflow rehydration must stay bit-exact");
-        let _ = std::fs::remove_file(&dir);
+
+        // Bytes restored from the overflow are not a committed file: once
+        // the disk is back, the next eviction suspends and retries the write.
+        std::fs::remove_file(&dir).unwrap();
+        std::fs::create_dir(&dir).unwrap();
+        push_out(&mut store, ds, 5);
+        assert!(store.has_archived(1));
+        assert!(store.archived_delta(1).is_none(), "the retried write left the overflow");
+        assert!(dir.join("tenant-1.smore").exists());
+        assert_eq!(store.state_write_failures(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
