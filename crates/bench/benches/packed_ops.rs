@@ -1,12 +1,11 @@
 //! Dense vs bit-packed micro-benchmarks at the paper's dimensionality
 //! (`d = 8192`): similarity (cosine vs XOR+popcount), binding (multiply vs
-//! XOR), window encoding and multi-class scoring.
+//! XOR), permutation and window encoding.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use smore_hdc::encoder::{EncoderConfig, MultiSensorEncoder};
-use smore_hdc::model::HdcClassifier;
 use smore_hdc::Hypervector;
-use smore_packed::{PackedClassifier, PackedHypervector, PackedNgramEncoder};
+use smore_packed::{EncoderScratch, PackedHypervector, PackedNgramEncoder};
 use smore_tensor::{init, Matrix};
 
 fn dense_hv(seed: u64, dim: usize) -> Hypervector {
@@ -19,6 +18,7 @@ fn bench_packed_vs_dense(c: &mut Criterion) {
     let b = dense_hv(2, dim);
     let pa = PackedHypervector::from_dense(&a);
     let pb = PackedHypervector::from_dense(&b);
+    let mut bound = pa.clone();
 
     // Similarity: the acceptance-criteria comparison (≥5× expected).
     c.bench_function("similarity_dense_cosine_8192", |bench| {
@@ -33,7 +33,7 @@ fn bench_packed_vs_dense(c: &mut Criterion) {
         bench.iter(|| black_box(a.bind(black_box(&b)).unwrap()))
     });
     c.bench_function("bind_packed_xor_8192", |bench| {
-        bench.iter(|| black_box(pa.xor(black_box(&pb)).unwrap()))
+        bench.iter(|| bound.xor_assign(black_box(&pb)).unwrap())
     });
 
     // Permutation: dense rotate-copy vs packed word rotation.
@@ -48,19 +48,12 @@ fn bench_packed_vs_dense(c: &mut Criterion) {
     c.bench_function("encode_dense_8192", |bench| {
         bench.iter(|| black_box(dense_enc.encode_window(black_box(&window)).unwrap()))
     });
+    let mut scratch = EncoderScratch::new();
+    let mut query = PackedHypervector::zeros(dim);
     c.bench_function("encode_packed_8192", |bench| {
-        bench.iter(|| black_box(packed_enc.encode_window(black_box(&window)).unwrap()))
-    });
-
-    // Multi-class scoring (12 classes, USC-HAD-like).
-    let class_hvs = init::bipolar_matrix(&mut init::rng(3), 12, dim);
-    let dense_model = HdcClassifier::from_class_hypervectors(class_hvs).unwrap();
-    let packed_model = PackedClassifier::from_dense(&dense_model).unwrap();
-    c.bench_function("score_dense_12class_8192", |bench| {
-        bench.iter(|| black_box(dense_model.scores(black_box(a.as_slice())).unwrap()))
-    });
-    c.bench_function("score_packed_12class_8192", |bench| {
-        bench.iter(|| black_box(packed_model.scores(black_box(&pa)).unwrap()))
+        bench.iter(|| {
+            packed_enc.encode_window_into(black_box(&window), &mut scratch, &mut query).unwrap()
+        })
     });
 }
 

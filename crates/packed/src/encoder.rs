@@ -19,8 +19,9 @@
 //! Because the integer accumulator reproduces the dense accumulator
 //! exactly (up to `α` discretization), thresholding it at zero yields the
 //! *sign of the dense encoding* — which is what every downstream packed
-//! similarity needs. [`encode_counts`](PackedNgramEncoder::encode_counts)
-//! exposes the raw counters so callers can apply an affine offset (e.g.
+//! similarity needs.
+//! [`encode_counts_into`](PackedNgramEncoder::encode_counts_into) exposes
+//! the raw counters so callers can apply an affine offset (e.g.
 //! mean-centring) before thresholding.
 //!
 //! # The word-parallel hot path
@@ -46,8 +47,8 @@
 //! - **SWAR bit-sliced bundling.** Counter bundling goes through a
 //!   [`BitSliceAccumulator`]: a carry-save-adder plane stack that counts
 //!   all 64 bits of a word simultaneously (XOR = sum bit, AND = carry),
-//!   flushed into `i32` counters once per ~255 steps rather than
-//!   per-bit per step. Signature integration rides along for free — the
+//!   folded into `i32` counters at the end of the window (and every 255
+//!   steps within longer ones). Signature integration rides along — the
 //!   per-dimension sign flip `G_s[i] · P[i]` is one XOR fused into the
 //!   accumulator read ([`BitSliceAccumulator::absorb_bound`]), so no
 //!   per-sensor counter pass or post-hoc signature multiply remains.
@@ -67,7 +68,7 @@
 
 use smore_hdc::encoder::{EncoderConfig, MultiSensorEncoder, ValueRange};
 use smore_hdc::HdcError;
-use smore_tensor::{parallel, Matrix};
+use smore_tensor::Matrix;
 
 use crate::hypervector::{rotate_words_into, words_for, BitSliceAccumulator, PackedHypervector};
 use crate::Result;
@@ -163,15 +164,17 @@ impl Default for EncoderScratch {
 ///
 /// ```
 /// use smore_hdc::encoder::EncoderConfig;
-/// use smore_packed::PackedNgramEncoder;
+/// use smore_packed::{EncoderScratch, PackedNgramEncoder};
 /// use smore_tensor::Matrix;
 ///
 /// # fn main() -> Result<(), smore_hdc::HdcError> {
 /// let cfg = EncoderConfig { dim: 512, sensors: 2, ..EncoderConfig::default() };
 /// let encoder = PackedNgramEncoder::new(cfg)?;
 /// let window = Matrix::from_fn(16, 2, |t, s| ((t + s) as f32 * 0.4).sin());
-/// let hv = encoder.encode_window(&window)?;
-/// assert_eq!(hv.dim(), 512);
+/// let mut scratch = EncoderScratch::new();
+/// encoder.encode_counts_into(&window, &mut scratch)?;
+/// // One counter per dimension, bit-exact to the recompute reference.
+/// assert_eq!(scratch.counts(), encoder.encode_counts_reference(&window)?);
 /// # Ok(())
 /// # }
 /// ```
@@ -347,11 +350,6 @@ impl PackedNgramEncoder {
         self.config.dim
     }
 
-    /// Number of sensors `m`.
-    pub fn sensors(&self) -> usize {
-        self.config.sensors
-    }
-
     /// Number of discrete quantisation levels on the packed grid.
     pub fn grid_levels(&self) -> usize {
         self.codebooks.first().map_or(0, Vec::len)
@@ -458,18 +456,6 @@ impl PackedNgramEncoder {
         Ok(())
     }
 
-    /// Allocating wrapper around
-    /// [`encode_counts_into`](Self::encode_counts_into).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`encode_counts_into`](Self::encode_counts_into).
-    pub fn encode_counts(&self, window: &Matrix) -> Result<Vec<i32>> {
-        let mut scratch = EncoderScratch::new();
-        self.encode_counts_into(window, &mut scratch)?;
-        Ok(std::mem::take(&mut scratch.counts))
-    }
-
     /// The pre-optimisation reference encoder: recomputes every n-gram
     /// product from scratch (`n−1` rotates + XORs per step) and bundles
     /// bit by bit. Kept as the ground truth the word-parallel path is
@@ -477,7 +463,7 @@ impl PackedNgramEncoder {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`encode_counts`](Self::encode_counts).
+    /// Same conditions as [`encode_counts_into`](Self::encode_counts_into).
     pub fn encode_counts_reference(&self, window: &Matrix) -> Result<Vec<i32>> {
         let t_total = self.check_window(window)?;
         let d = self.config.dim;
@@ -548,49 +534,6 @@ impl PackedNgramEncoder {
         Ok(())
     }
 
-    /// Allocating wrapper around
-    /// [`encode_window_into`](Self::encode_window_into).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`encode_counts`](Self::encode_counts).
-    pub fn encode_window(&self, window: &Matrix) -> Result<PackedHypervector> {
-        let mut scratch = EncoderScratch::new();
-        let mut out = PackedHypervector::zeros(self.config.dim);
-        self.encode_window_into(window, &mut scratch, &mut out)?;
-        Ok(out)
-    }
-
-    /// Encodes a batch of windows in parallel. Outputs are pre-sized and
-    /// written in place; each worker thread reuses one [`EncoderScratch`]
-    /// across its whole chunk.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`encode_window_into`](Self::encode_window_into)
-    /// error.
-    pub fn encode_batch(
-        &self,
-        windows: &[Matrix],
-        threads: usize,
-    ) -> Result<Vec<PackedHypervector>> {
-        let dim = self.config.dim;
-        let mut results: Vec<Result<PackedHypervector>> =
-            windows.iter().map(|_| Ok(PackedHypervector::zeros(dim))).collect();
-        parallel::par_chunks_indexed(&mut results, threads, |start, chunk| {
-            let mut scratch = EncoderScratch::new();
-            for (k, slot) in chunk.iter_mut().enumerate() {
-                if let Ok(out) = slot.as_mut() {
-                    if let Err(e) = self.encode_window_into(&windows[start + k], &mut scratch, out)
-                    {
-                        *slot = Err(e);
-                    }
-                }
-            }
-        });
-        results.into_iter().collect()
-    }
-
     fn sensor_range(&self, window: &Matrix, sensor: usize) -> (f32, f32) {
         match &self.config.range {
             ValueRange::PerWindow => {
@@ -656,13 +599,27 @@ mod tests {
         Matrix::from_fn(t_total, sensors, |t, s| (t as f32 * 0.37 + s as f32 * 1.3 + phase).sin())
     }
 
+    /// One window's counters through a fresh scratch.
+    fn counts(enc: &PackedNgramEncoder, w: &Matrix) -> Result<Vec<i32>> {
+        let mut scratch = EncoderScratch::new();
+        enc.encode_counts_into(w, &mut scratch)?;
+        Ok(scratch.counts().to_vec())
+    }
+
+    /// One window's majority-thresholded hypervector through fresh buffers.
+    fn encode(enc: &PackedNgramEncoder, w: &Matrix) -> Result<PackedHypervector> {
+        let mut out = PackedHypervector::zeros(enc.dim());
+        enc.encode_window_into(w, &mut EncoderScratch::new(), &mut out)?;
+        Ok(out)
+    }
+
     #[test]
     fn construction_mirrors_dense_validation() {
         assert!(PackedNgramEncoder::new(test_config(0, 1)).is_err());
         assert!(PackedNgramEncoder::new(test_config(64, 0)).is_err());
         let enc = PackedNgramEncoder::new(test_config(256, 2)).unwrap();
         assert_eq!(enc.dim(), 256);
-        assert_eq!(enc.sensors(), 2);
+        assert_eq!(enc.config().sensors, 2);
         assert_eq!(enc.grid_levels(), enc.config().levels);
         assert!(enc.storage_bytes() > 0);
     }
@@ -670,8 +627,10 @@ mod tests {
     #[test]
     fn encode_validates_window_shape() {
         let enc = PackedNgramEncoder::new(test_config(128, 2)).unwrap();
-        assert!(enc.encode_window(&sine_window(10, 3, 0.0)).is_err());
-        assert!(enc.encode_window(&sine_window(2, 2, 0.0)).is_err());
+        let mut scratch = EncoderScratch::new();
+        assert!(enc.encode_counts_into(&sine_window(10, 3, 0.0), &mut scratch).is_err());
+        assert!(enc.encode_counts_into(&sine_window(2, 2, 0.0), &mut scratch).is_err());
+        assert!(encode(&enc, &sine_window(10, 3, 0.0)).is_err());
     }
 
     #[test]
@@ -686,8 +645,8 @@ mod tests {
         let packed = PackedNgramEncoder::from_dense(&dense).unwrap();
         let w = sine_window(24, 2, 0.3);
         let dense_hv = dense.encode_window(&w).unwrap();
-        let counts = packed.encode_counts(&w).unwrap();
-        for (i, (&dv, &c)) in dense_hv.as_slice().iter().zip(&counts).enumerate() {
+        let packed_counts = counts(&packed, &w).unwrap();
+        for (i, (&dv, &c)) in dense_hv.as_slice().iter().zip(&packed_counts).enumerate() {
             assert_eq!(dv, c as f32, "accumulator mismatch at dim {i}");
         }
     }
@@ -701,7 +660,7 @@ mod tests {
         let packed = PackedNgramEncoder::from_dense(&dense).unwrap();
         let w = sine_window(30, 2, 0.0);
         let dense_hv = dense.encode_window(&w).unwrap();
-        let packed_hv = packed.encode_window(&w).unwrap();
+        let packed_hv = encode(&packed, &w).unwrap();
         let dense_signs = PackedHypervector::from_dense(&dense_hv);
         let agreement = 1.0 - dense_signs.hamming(&packed_hv).unwrap() as f32 / 2048.0;
         assert!(agreement > 0.9, "sign agreement {agreement} too low");
@@ -719,7 +678,7 @@ mod tests {
             let enc = PackedNgramEncoder::new(cfg).unwrap();
             let w = sine_window(ngram + 17, sensors, 0.2);
             assert_eq!(
-                enc.encode_counts(&w).unwrap(),
+                counts(&enc, &w).unwrap(),
                 enc.encode_counts_reference(&w).unwrap(),
                 "dim {dim}, sensors {sensors}, ngram {ngram}"
             );
@@ -739,10 +698,10 @@ mod tests {
         for i in 0..5 {
             let wa = sine_window(20, 2, i as f32 * 0.4);
             enc_a.encode_window_into(&wa, &mut scratch, &mut out_a).unwrap();
-            assert_eq!(out_a, enc_a.encode_window(&wa).unwrap(), "window {i}");
+            assert_eq!(out_a, encode(&enc_a, &wa).unwrap(), "window {i}");
             let wb = sine_window(12, 1, i as f32 * 0.7);
             enc_b.encode_window_into(&wb, &mut scratch, &mut out_b).unwrap();
-            assert_eq!(out_b, enc_b.encode_window(&wb).unwrap(), "window {i}");
+            assert_eq!(out_b, encode(&enc_b, &wb).unwrap(), "window {i}");
             assert_eq!(out_b.dim(), 192, "output resized to the encoder's dim");
         }
         assert_eq!(scratch.counts().len(), 192);
@@ -753,20 +712,20 @@ mod tests {
         let a = PackedNgramEncoder::new(test_config(256, 1)).unwrap();
         let b = PackedNgramEncoder::new(test_config(256, 1)).unwrap();
         let w = sine_window(12, 1, 0.5);
-        assert_eq!(a.encode_window(&w).unwrap(), b.encode_window(&w).unwrap());
+        assert_eq!(encode(&a, &w).unwrap(), encode(&b, &w).unwrap());
         let mut cfg = test_config(256, 1);
         cfg.seed = 999;
         let c = PackedNgramEncoder::new(cfg).unwrap();
-        assert_ne!(a.encode_window(&w).unwrap(), c.encode_window(&w).unwrap());
+        assert_ne!(encode(&a, &w).unwrap(), encode(&c, &w).unwrap());
     }
 
     #[test]
     fn similar_windows_encode_closer_than_distinct_ones() {
         let enc = PackedNgramEncoder::new(test_config(4096, 2)).unwrap();
-        let h = enc.encode_window(&sine_window(30, 2, 0.0)).unwrap();
-        let h_close = enc.encode_window(&sine_window(30, 2, 0.02)).unwrap();
+        let h = encode(&enc, &sine_window(30, 2, 0.0)).unwrap();
+        let h_close = encode(&enc, &sine_window(30, 2, 0.02)).unwrap();
         let far = Matrix::from_fn(30, 2, |t, s| if (t / 3 + s) % 2 == 0 { 1.0 } else { -1.0 });
-        let h_far = enc.encode_window(&far).unwrap();
+        let h_far = encode(&enc, &far).unwrap();
         let sim_close = h.similarity(&h_close).unwrap();
         let sim_far = h.similarity(&h_far).unwrap();
         assert!(sim_close > sim_far + 0.1, "close={sim_close}, far={sim_far}");
@@ -777,30 +736,9 @@ mod tests {
         let enc = PackedNgramEncoder::new(test_config(256, 1)).unwrap();
         let mut w = sine_window(10, 1, 0.0);
         w.set(4, 0, f32::NAN);
-        enc.encode_window(&w).unwrap();
+        encode(&enc, &w).unwrap();
         let constant = Matrix::filled(10, 1, 3.5);
-        enc.encode_window(&constant).unwrap();
-    }
-
-    #[test]
-    fn encode_batch_matches_single_and_parallel_agree() {
-        let enc = PackedNgramEncoder::new(test_config(256, 2)).unwrap();
-        let windows: Vec<Matrix> = (0..9).map(|i| sine_window(15, 2, i as f32 * 0.3)).collect();
-        let batch1 = enc.encode_batch(&windows, 1).unwrap();
-        let batch4 = enc.encode_batch(&windows, 4).unwrap();
-        assert_eq!(batch1, batch4);
-        for (i, w) in windows.iter().enumerate() {
-            assert_eq!(batch1[i], enc.encode_window(w).unwrap());
-        }
-        assert!(enc.encode_batch(&[], 4).unwrap().is_empty());
-    }
-
-    #[test]
-    fn encode_batch_reports_bad_windows() {
-        let enc = PackedNgramEncoder::new(test_config(128, 2)).unwrap();
-        let good = sine_window(15, 2, 0.0);
-        let bad = sine_window(15, 3, 0.0);
-        assert!(enc.encode_batch(&[good, bad], 2).is_err());
+        encode(&enc, &constant).unwrap();
     }
 
     #[test]
@@ -810,8 +748,8 @@ mod tests {
         let enc = PackedNgramEncoder::new(cfg).unwrap();
         let small = Matrix::from_fn(12, 1, |t, _| 0.1 * (t as f32 * 0.5).sin());
         let large = Matrix::from_fn(12, 1, |t, _| 0.9 * (t as f32 * 0.5).sin());
-        let hs = enc.encode_window(&small).unwrap();
-        let hl = enc.encode_window(&large).unwrap();
+        let hs = encode(&enc, &small).unwrap();
+        let hl = encode(&enc, &large).unwrap();
         assert!(hs.similarity(&hl).unwrap() < 0.995, "amplitude must matter under global range");
     }
 }

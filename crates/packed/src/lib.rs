@@ -10,7 +10,7 @@
 //! | bind = element-wise `×`        | XOR (`bit 1 ⇔ −1`, parity of signs)|
 //! | permute `ρ^k` = circular shift | 64-bit word/bit rotation           |
 //! | similarity = cosine            | `1 − 2·hamming/d` via popcount     |
-//! | bundle = `f32` sum             | integer counters + majority        |
+//! | bundle = `f32` sum             | bit-sliced counters + majority     |
 //!
 //! The result is a ~32× memory reduction and an order-of-magnitude cheaper
 //! similarity (`d/64` XOR+popcount words vs `3d` FLOPs). Training stays
@@ -19,19 +19,16 @@
 //!
 //! - [`PackedHypervector`] — the packed representation with XOR binding,
 //!   rotation and popcount Hamming similarity.
-//! - [`PackedAccumulator`] — counter-based majority bundling.
 //! - [`BitSliceAccumulator`] — word-parallel (SWAR) majority bundling
-//!   through carry-save-adder bit planes, ~64× less bundling work than the
-//!   per-bit counters.
+//!   through carry-save-adder bit planes.
 //! - [`PackedNgramEncoder`] — the multi-sensor temporal encoder of §3.3 on
 //!   packed codewords, exposing its integer accumulator for exact
 //!   sign-of-dense thresholding; [`EncoderScratch`] makes the hot encode
 //!   path allocation-free.
-//! - [`PackedClassifier`] — popcount scoring with the same contract as the
-//!   dense `HdcClassifier`.
 //! - [`ResidualPacked`] — scaled multi-plane binarization (XNOR-Net-style)
 //!   for parameters whose per-dimension magnitudes matter, at 2–3 bits per
-//!   dimension and still pure popcount arithmetic.
+//!   dimension and still pure popcount arithmetic. Class prototypes are
+//!   scored through it.
 //!
 //! Errors reuse [`smore_hdc::HdcError`]: the packed backend is an HDC
 //! backend and shares the dense substrate's error vocabulary.
@@ -39,8 +36,8 @@
 //! # Example
 //!
 //! ```
-//! use smore_packed::{PackedClassifier, PackedHypervector, PackedNgramEncoder};
 //! use smore_hdc::encoder::EncoderConfig;
+//! use smore_packed::{EncoderScratch, PackedHypervector, PackedNgramEncoder};
 //! use smore_tensor::Matrix;
 //!
 //! # fn main() -> Result<(), smore_hdc::HdcError> {
@@ -50,8 +47,9 @@
 //!     ..EncoderConfig::default()
 //! })?;
 //! let window = Matrix::from_fn(16, 3, |t, s| ((t + s) as f32 * 0.4).sin());
-//! let query = encoder.encode_window(&window)?;
-//! assert_eq!(query.dim(), 1024);
+//! let mut scratch = EncoderScratch::new();
+//! let mut query = PackedHypervector::zeros(1024);
+//! encoder.encode_window_into(&window, &mut scratch, &mut query)?;
 //! assert_eq!(query.storage_bytes(), 1024 / 8); // vs 4096 bytes dense
 //! # Ok(())
 //! # }
@@ -60,16 +58,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod classifier;
 mod encoder;
 mod hypervector;
 mod residual;
 
-pub use classifier::PackedClassifier;
 pub use encoder::{EncoderScratch, PackedNgramEncoder};
-pub use hypervector::{
-    words_for, BitSliceAccumulator, PackedAccumulator, PackedHypervector, WORD_BITS,
-};
+pub use hypervector::{words_for, BitSliceAccumulator, PackedHypervector};
 pub use residual::ResidualPacked;
 
 /// Result alias; the packed backend shares the dense HDC error vocabulary.

@@ -170,12 +170,6 @@ impl ResidualPacked {
         Ok(acc)
     }
 
-    /// Norm of the approximation `√(dot(self, self))`.
-    pub fn norm(&self) -> f32 {
-        // smore-lint: allow(panic_path) dot() only errors on a dim mismatch; self vs. self cannot mismatch
-        self.dot(self).expect("self-dot never mismatches").max(0.0).sqrt()
-    }
-
     /// Reconstructs the dense approximation `Σ_b α_b · sign(r_b)`.
     ///
     /// Each plane is walked a storage word at a time (one 64-dimension
@@ -265,14 +259,15 @@ mod tests {
             ((approx - exact) / scale).abs()
         );
         // Norms track closely.
-        assert!((ra.norm() - vecops::norm(&a)).abs() < 0.1 * vecops::norm(&a));
+        let norm = ra.dot(&ra).unwrap().sqrt();
+        assert!((norm - vecops::norm(&a)).abs() < 0.1 * vecops::norm(&a));
     }
 
     #[test]
     fn zero_and_nonfinite_inputs_are_safe() {
         let r = ResidualPacked::from_dense(&[0.0; 16], 3).unwrap();
         assert_eq!(r.num_planes(), 1);
-        assert_eq!(r.norm(), 0.0);
+        assert_eq!(r.dot(&r).unwrap(), 0.0);
         let v = [f32::NAN, 1.0, f32::INFINITY, -2.0];
         let r = ResidualPacked::from_dense(&v, 2).unwrap();
         assert!(r.to_dense().is_finite());

@@ -1,20 +1,51 @@
 //! Property-based tests for the bit-packed binary backend: round-trip sign
 //! agreement, XOR-bind reversibility, rotation/permutation equivalence with
-//! the dense substrate, dense-vs-packed classifier agreement, and the
-//! residual planes' dense reconstruction.
+//! the dense substrate, majority bundling, the residual planes' dense
+//! reconstruction, and the serving encoder against its recompute
+//! reference.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
 use smore_hdc::encoder::EncoderConfig;
-use smore_hdc::model::HdcClassifier;
 use smore_hdc::Hypervector;
 use smore_packed::{
-    EncoderScratch, PackedAccumulator, PackedClassifier, PackedHypervector, PackedNgramEncoder,
-    ResidualPacked,
+    BitSliceAccumulator, EncoderScratch, PackedHypervector, PackedNgramEncoder, ResidualPacked,
 };
 use smore_tensor::{init, Matrix};
 
 fn bipolar_hv(seed: u64, dim: usize) -> Vec<f32> {
     init::bipolar_vec(&mut init::rng(seed), dim)
+}
+
+/// `a ⊕ b` through the in-place binding.
+fn bind(a: &PackedHypervector, b: &PackedHypervector) -> PackedHypervector {
+    let mut out = a.clone();
+    out.xor_assign(b).unwrap();
+    out
+}
+
+fn encoder(dim: usize, sensors: usize, ngram: usize) -> PackedNgramEncoder {
+    PackedNgramEncoder::new(EncoderConfig { dim, sensors, ngram, ..EncoderConfig::default() })
+        .unwrap()
+}
+
+fn normal_window(rng: &mut StdRng, t_total: usize, sensors: usize) -> Matrix {
+    Matrix::from_vec(t_total, sensors, init::normal_vec(rng, t_total * sensors)).unwrap()
+}
+
+/// Encodes `w` through the caller's reused `scratch` — the call
+/// `QuantizedSmore` makes — and checks the counters against the recompute
+/// reference, so state left over from an earlier window or encoder shape
+/// shows up as a mismatch.
+fn counts_match_reference(
+    enc: &PackedNgramEncoder,
+    w: &Matrix,
+    scratch: &mut EncoderScratch,
+) -> TestCaseResult {
+    enc.encode_counts_into(w, scratch).unwrap();
+    let reference = enc.encode_counts_reference(w).unwrap();
+    prop_assert_eq!(scratch.counts(), reference.as_slice());
+    Ok(())
 }
 
 /// `ResidualPacked::to_dense` as a per-dimension walk over the planes —
@@ -55,12 +86,12 @@ proptest! {
     fn xor_bind_is_reversible(sa in any::<u64>(), sb in any::<u64>(), dim in 1usize..300) {
         let a = PackedHypervector::from_signs(&bipolar_hv(sa, dim));
         let b = PackedHypervector::from_signs(&bipolar_hv(sb, dim));
-        let bound = a.xor(&b).unwrap();
+        let bound = bind(&a, &b);
         // XOR binding is its own inverse, exactly — no tolerance needed.
-        prop_assert_eq!(&bound.xor(&a).unwrap(), &b);
-        prop_assert_eq!(&bound.xor(&b).unwrap(), &a);
+        prop_assert_eq!(&bind(&bound, &a), &b);
+        prop_assert_eq!(&bind(&bound, &b), &a);
         // And commutative.
-        prop_assert_eq!(bound, b.xor(&a).unwrap());
+        prop_assert_eq!(bound, bind(&b, &a));
     }
 
     #[test]
@@ -72,7 +103,7 @@ proptest! {
         let db = Hypervector::from_vec(bipolar_hv(sb, dim));
         let dense_bound = da.bind(&db).unwrap();
         let packed_bound =
-            PackedHypervector::from_dense(&da).xor(&PackedHypervector::from_dense(&db)).unwrap();
+            bind(&PackedHypervector::from_dense(&da), &PackedHypervector::from_dense(&db));
         prop_assert_eq!(packed_bound.to_dense(), dense_bound);
     }
 
@@ -81,7 +112,8 @@ proptest! {
         let dense = Hypervector::from_vec(bipolar_hv(seed, dim));
         let packed = PackedHypervector::from_dense(&dense);
         prop_assert_eq!(packed.rotate(k), PackedHypervector::from_dense(&dense.permute(k)));
-        prop_assert_eq!(packed.rotate(k).unrotate(k), packed);
+        // Rotating the rest of the way round the ring is the inverse.
+        prop_assert_eq!(packed.rotate(k).rotate(dim - k % dim), packed);
     }
 
     #[test]
@@ -100,82 +132,19 @@ proptest! {
         let dim = 2048;
         let members: Vec<PackedHypervector> =
             seeds.iter().map(|&s| PackedHypervector::from_signs(&bipolar_hv(s, dim))).collect();
-        let mut acc = PackedAccumulator::new(dim);
+        let mut acc = BitSliceAccumulator::new(dim);
         for m in &members {
-            acc.accumulate(m).unwrap();
+            acc.absorb(m).unwrap();
         }
-        let bundle = acc.finish();
+        let mut counts = vec![0i32; dim];
+        acc.counts_into(&mut counts);
+        // Majority threshold: negative counters → −1, ties → +1.
+        let mut bundle = PackedHypervector::zeros(dim);
+        bundle.fill_with(|i| counts[i] < 0);
         for m in &members {
             // Membership property of bundling (§3.1), binary edition.
             prop_assert!(bundle.similarity(m).unwrap() > 0.1);
         }
-    }
-
-    #[test]
-    fn dense_and_packed_classifiers_agree_on_bipolar_data(seed in any::<u64>()) {
-        // Exactly bipolar class hypervectors and queries: sign quantization
-        // is lossless, so dense cosine and packed popcount scoring must
-        // agree on (nearly) every argmax — the ≥95% contract with margin.
-        let dim = 1024;
-        let classes = 4;
-        let mut rng = init::rng(seed);
-        let class_hvs = init::bipolar_matrix(&mut rng, classes, dim);
-        let dense = HdcClassifier::from_class_hypervectors(class_hvs).unwrap();
-        let packed = PackedClassifier::from_dense(&dense).unwrap();
-        let queries = 40;
-        let mut agree = 0usize;
-        for _ in 0..queries {
-            let q = init::bipolar_vec(&mut rng, dim);
-            let dp = dense.predict_one(&q).unwrap();
-            let pp = packed.predict_one(&PackedHypervector::from_signs(&q)).unwrap();
-            if dp == pp {
-                agree += 1;
-            }
-        }
-        prop_assert!(
-            agree as f32 / queries as f32 >= 0.95,
-            "agreement {}/{} below 95%", agree, queries
-        );
-    }
-
-    #[test]
-    fn dense_and_packed_classifiers_agree_on_trained_prototypes(seed in any::<u64>()) {
-        // Non-bipolar dense class hypervectors (bundles of noisy samples,
-        // as training produces) still quantize into agreeing classifiers on
-        // random bipolar probes near the prototypes.
-        let dim = 1024;
-        let classes = 3;
-        let mut rng = init::rng(seed);
-        let protos = init::bipolar_matrix(&mut rng, classes, dim);
-        // Class hypervectors = prototype + Gaussian perturbation (what
-        // adaptive bundling leaves behind).
-        let mut class_hvs = Matrix::zeros(classes, dim);
-        for c in 0..classes {
-            let noise = init::normal_vec(&mut rng, dim);
-            for (j, &e) in noise.iter().enumerate() {
-                class_hvs.set(c, j, 3.0 * protos.get(c, j) + e);
-            }
-        }
-        let dense = HdcClassifier::from_class_hypervectors(class_hvs).unwrap();
-        let packed = PackedClassifier::from_dense(&dense).unwrap();
-        let queries = 40;
-        let mut agree = 0usize;
-        for i in 0..queries {
-            // Probes: noisy copies of a prototype, cycling classes.
-            let c = i % classes;
-            let noise = init::normal_vec(&mut rng, dim);
-            let q: Vec<f32> =
-                (0..dim).map(|j| protos.get(c, j) + 0.8 * noise[j]).collect();
-            let dp = dense.predict_one(&q).unwrap();
-            let pp = packed.predict_one(&PackedHypervector::from_signs(&q)).unwrap();
-            if dp == pp {
-                agree += 1;
-            }
-        }
-        prop_assert!(
-            agree as f32 / queries as f32 >= 0.95,
-            "agreement {}/{} below 95%", agree, queries
-        );
     }
 
     #[test]
@@ -200,20 +169,25 @@ proptest! {
         sensors in 1usize..4,
         ngram in 1usize..=6,
         extra in 0usize..16,
+        other_dim in 1usize..200,
+        same_dim in prop::bool::ANY,
     ) {
         // The incremental sliding-bind + SWAR-bundled serving path must
         // reproduce the retained recompute path counter for counter —
         // ragged (non-multiple-of-64) dims and every n-gram size included.
-        let cfg = EncoderConfig { dim, sensors, ngram, ..EncoderConfig::default() };
-        let enc = PackedNgramEncoder::new(cfg).unwrap();
-        let t_total = ngram + extra;
+        // One scratch serves every window, alternating with a second
+        // encoder shape (same dim half the time, so the accumulator is
+        // reset rather than rebuilt).
+        let enc = encoder(dim, sensors, ngram);
+        let other_dim = if same_dim { dim } else { other_dim };
+        let other = encoder(other_dim, sensors % 3 + 1, ngram % 6 + 1);
         let mut rng = init::rng(seed);
-        let data = init::normal_vec(&mut rng, t_total * sensors);
-        let w = Matrix::from_vec(t_total, sensors, data).unwrap();
-        prop_assert_eq!(
-            enc.encode_counts(&w).unwrap(),
-            enc.encode_counts_reference(&w).unwrap()
-        );
+        let mut scratch = EncoderScratch::new();
+        for (k, e) in [&enc, &enc, &other, &enc, &other].into_iter().enumerate() {
+            let cfg = e.config();
+            let w = normal_window(&mut rng, cfg.ngram + (extra + 5 * k) % 16, cfg.sensors);
+            counts_match_reference(e, &w, &mut scratch)?;
+        }
     }
 
     #[test]
@@ -221,28 +195,28 @@ proptest! {
         seed in any::<u64>(),
         dim in 1usize..150,
         ngram in 1usize..=4,
+        other_dim in 1usize..150,
     ) {
-        let cfg = EncoderConfig { dim, sensors: 2, ngram, ..EncoderConfig::default() };
-        let enc = PackedNgramEncoder::new(cfg).unwrap();
-        let t_total = ngram + 9;
+        let enc = encoder(dim, 2, ngram);
+        let other = encoder(other_dim, 2, ngram % 4 + 1);
+        let t_total = ngram.max(other.config().ngram) + 9;
 
         // Constant windows (zero span → mid-grid codeword everywhere).
         let constant = Matrix::filled(t_total, 2, 2.5);
-        prop_assert_eq!(
-            enc.encode_counts(&constant).unwrap(),
-            enc.encode_counts_reference(&constant).unwrap()
-        );
 
         // NaN-poisoned windows (non-finite samples snap mid-grid).
         let mut rng = init::rng(seed);
-        let data = init::normal_vec(&mut rng, t_total * 2);
-        let mut w = Matrix::from_vec(t_total, 2, data).unwrap();
-        w.set((seed as usize) % t_total, (seed as usize) % 2, f32::NAN);
-        w.set((seed as usize / 7) % t_total, (seed as usize / 3) % 2, f32::INFINITY);
-        prop_assert_eq!(
-            enc.encode_counts(&w).unwrap(),
-            enc.encode_counts_reference(&w).unwrap()
-        );
+        let mut poisoned = normal_window(&mut rng, t_total, 2);
+        poisoned.set((seed as usize) % t_total, (seed as usize) % 2, f32::NAN);
+        poisoned.set((seed as usize / 7) % t_total, (seed as usize / 3) % 2, f32::INFINITY);
+
+        // Both windows through each encoder, alternating shapes on one
+        // scratch.
+        let mut scratch = EncoderScratch::new();
+        for w in [&constant, &poisoned, &constant] {
+            counts_match_reference(&enc, w, &mut scratch)?;
+            counts_match_reference(&other, w, &mut scratch)?;
+        }
     }
 
     #[test]
@@ -250,17 +224,22 @@ proptest! {
         seed in any::<u64>(),
         dim in 1usize..300,
     ) {
-        // encode_window_into through a reused scratch ≡ fresh encode_window.
-        let cfg = EncoderConfig { dim, sensors: 2, ..EncoderConfig::default() };
-        let enc = PackedNgramEncoder::new(cfg).unwrap();
+        // encode_window_into through a reused scratch ≡ through fresh
+        // buffers ≡ the majority threshold of the reference counters.
+        let enc = encoder(dim, 2, EncoderConfig::default().ngram);
         let mut scratch = EncoderScratch::new();
         let mut out = PackedHypervector::zeros(dim);
         let mut rng = init::rng(seed);
         for _ in 0..3 {
-            let data = init::normal_vec(&mut rng, 24);
-            let w = Matrix::from_vec(12, 2, data).unwrap();
+            let w = normal_window(&mut rng, 12, 2);
             enc.encode_window_into(&w, &mut scratch, &mut out).unwrap();
-            prop_assert_eq!(&out, &enc.encode_window(&w).unwrap());
+            let mut fresh = PackedHypervector::zeros(dim);
+            enc.encode_window_into(&w, &mut EncoderScratch::new(), &mut fresh).unwrap();
+            prop_assert_eq!(&out, &fresh);
+            let counts = enc.encode_counts_reference(&w).unwrap();
+            let mut reference = PackedHypervector::zeros(dim);
+            reference.fill_with(|i| counts[i] < 0);
+            prop_assert_eq!(&out, &reference);
         }
     }
 }
