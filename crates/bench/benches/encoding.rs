@@ -1,9 +1,12 @@
 //! Micro-benchmarks of the two encoders: the structured multi-sensor
-//! temporal encoder (§3.3) and BaselineHD's random projection.
+//! temporal encoder (§3.3) and BaselineHD's random projection, plus the
+//! dense batch encode the serving fleet's training runs.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use smore_baselines::baseline_hd::ProjectionEncoder;
+use smore_data::split;
 use smore_hdc::encoder::{EncoderConfig, MultiSensorEncoder};
+use smore_serve::synthetic;
 use smore_tensor::Matrix;
 
 fn usc_window() -> Matrix {
@@ -28,6 +31,20 @@ fn bench_encoding(c: &mut Criterion) {
         });
     }
     group.finish();
+
+    // The fleet's training batch: 240 windows of 24 steps × 3 channels.
+    let ds = synthetic::dataset(7).unwrap();
+    let (train, _) = split::lodo(&ds, synthetic::DRIFT_DOMAIN).unwrap();
+    let (windows, _, _) = ds.gather(&train);
+    let encoder = MultiSensorEncoder::new(EncoderConfig {
+        dim: 4096,
+        sensors: 3,
+        ..EncoderConfig::default()
+    })
+    .unwrap();
+    c.bench_function("encode_batch_fleet_240_4096", |b| {
+        b.iter(|| black_box(encoder.encode_batch(black_box(&windows), 2).unwrap()))
+    });
 }
 
 criterion_group!(benches, bench_encoding);

@@ -1,13 +1,17 @@
 //! Micro-benchmarks of training: one adaptive-update epoch (Eq. 1–2), the
+//! two `HdcClassifier::fit` calls the serving fleet makes, the
 //! domain-descriptor bundle, and one CNN training batch for comparison.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use smore::descriptor::DomainDescriptors;
+use smore::{Smore, SmoreConfig};
+use smore_data::split;
 use smore_hdc::model::{HdcClassifier, HdcClassifierConfig};
 use smore_nn::layer::{Conv1d, Dense, GlobalAvgPool1d, Relu};
 use smore_nn::network::Sequential;
 use smore_nn::optim::Optimizer;
-use smore_tensor::init;
+use smore_serve::synthetic;
+use smore_tensor::{init, Matrix};
 
 fn bench_training(c: &mut Criterion) {
     let dim = 4096;
@@ -56,5 +60,62 @@ fn bench_training(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_training);
+/// `fit` on the serving fleet's own encodings (`synthetic::engine`'s
+/// recipe, d = 4096, 4 classes, 10 epochs): the pooled model that seeds
+/// the domain models at set-up (240 windows, zero start), and one drifting
+/// tenant's enrolment (32 windows read 1.5× hot, seeded from the average
+/// of the domain models, as `Smore::prepare_domain` does).
+fn bench_fleet_fit(c: &mut Criterion) {
+    let ds = synthetic::dataset(7).unwrap();
+    let (train, held_out) = split::lodo(&ds, synthetic::DRIFT_DOMAIN).unwrap();
+    let mut smore = Smore::new(
+        SmoreConfig::builder()
+            .dim(4096)
+            .channels(ds.meta().channels)
+            .num_classes(ds.meta().num_classes)
+            .epochs(10)
+            .threads(2)
+            .build()
+            .unwrap(),
+    )
+    .unwrap();
+    smore.fit_indices(&ds, &train).unwrap();
+    let config = HdcClassifierConfig {
+        dim: 4096,
+        num_classes: ds.meta().num_classes,
+        learning_rate: smore.config().learning_rate,
+        epochs: 10,
+    };
+
+    let (windows, labels, _) = ds.gather(&train);
+    let pooled = smore.encode(&windows).unwrap();
+    c.bench_function("hdc_fit_pooled_240x4096_4c", |bench| {
+        bench.iter(|| {
+            let mut model = HdcClassifier::new(config.clone()).unwrap();
+            black_box(model.fit(black_box(&pooled), black_box(&labels)).unwrap())
+        })
+    });
+
+    let (windows, labels, _) = ds.gather(&held_out[..32]);
+    let hot: Vec<Matrix> = windows.iter().map(|w| w.scale(1.5)).collect();
+    let enrol = smore.encode(&hot).unwrap();
+    let models = smore.domain_models().unwrap();
+    let mut seed = Matrix::zeros(config.num_classes, config.dim);
+    for model in models {
+        seed.axpy(1.0 / models.len() as f32, model.class_hypervectors()).unwrap();
+    }
+    c.bench_function("hdc_fit_enrol_32x4096_4c", |bench| {
+        bench.iter(|| {
+            let mut model = HdcClassifier::from_class_hypervectors_with(
+                seed.clone(),
+                config.learning_rate,
+                config.epochs,
+            )
+            .unwrap();
+            black_box(model.fit(black_box(&enrol), black_box(&labels)).unwrap())
+        })
+    });
+}
+
+criterion_group!(benches, bench_training, bench_fleet_fit);
 criterion_main!(benches);

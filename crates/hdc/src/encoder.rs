@@ -15,7 +15,7 @@
 //!
 //! Encoding is deterministic given the [`EncoderConfig::seed`].
 
-use smore_tensor::{parallel, Matrix};
+use smore_tensor::{parallel, vecops, Matrix};
 
 use crate::memory::{LevelMemory, Quantization, SignatureMemory};
 use crate::ngram::mul_shifted;
@@ -108,6 +108,14 @@ pub struct MultiSensorEncoder {
     signatures: SignatureMemory,
 }
 
+/// One worker's encode buffers: the n-gram ring (`ngram` slots of `dim`),
+/// the running n-gram product and one sensor's bundle.
+struct Scratch {
+    ring: Vec<f32>,
+    prod: Vec<f32>,
+    local: Vec<f32>,
+}
+
 impl MultiSensorEncoder {
     /// Builds the encoder codebooks from a configuration.
     ///
@@ -197,7 +205,8 @@ impl MultiSensorEncoder {
         &self.signatures
     }
 
-    /// Encodes one window (`T` rows of time steps, `m` columns of sensors).
+    /// Encodes one window (`T` rows of time steps, `m` columns of sensors):
+    /// the one-row case of [`encode_batch`](Self::encode_batch).
     ///
     /// # Errors
     ///
@@ -206,6 +215,48 @@ impl MultiSensorEncoder {
     /// - [`HdcError::InvalidConfig`] when the window has fewer time steps
     ///   than the n-gram size.
     pub fn encode_window(&self, window: &Matrix) -> Result<Hypervector> {
+        let mut out = vec![0.0f32; self.config.dim];
+        self.encode_into(window, &mut out, &mut self.scratch())?;
+        Ok(Hypervector::from_vec(out))
+    }
+
+    /// Encodes a batch of windows into a `(batch, dim)` matrix, in parallel.
+    ///
+    /// The output matrix is allocated once. Each worker encodes its
+    /// contiguous run of windows straight into their rows, reusing one set
+    /// of n-gram ring, product and per-sensor buffers, so the batch is
+    /// never held twice. Row `i` is bit-identical to
+    /// [`encode_window`](Self::encode_window) of window `i` at any thread
+    /// count.
+    ///
+    /// # Errors
+    ///
+    /// The [`encode_window`](Self::encode_window) error of the
+    /// lowest-index malformed window (all windows must share the sensor
+    /// count and satisfy the n-gram length requirement).
+    pub fn encode_batch(&self, windows: &[Matrix], threads: usize) -> Result<Matrix> {
+        let mut out = Matrix::zeros(windows.len(), self.config.dim);
+        let mut rows: Vec<(&mut [f32], Result<()>)> =
+            out.as_mut_slice().chunks_mut(self.config.dim).map(|row| (row, Ok(()))).collect();
+        parallel::par_chunks_indexed(&mut rows, threads, |start, chunk| {
+            let mut scratch = self.scratch();
+            for ((row, result), window) in chunk.iter_mut().zip(&windows[start..]) {
+                *result = self.encode_into(window, row, &mut scratch);
+            }
+        });
+        rows.into_iter().try_for_each(|(_, result)| result)?;
+        Ok(out)
+    }
+
+    fn scratch(&self) -> Scratch {
+        let (d, n) = (self.config.dim, self.config.ngram);
+        Scratch { ring: vec![0.0; n * d], prod: vec![0.0; d], local: vec![0.0; d] }
+    }
+
+    /// Encodes one window into `out` (`dim` long, zeroed) through
+    /// `scratch`: the routine behind both [`encode_window`](Self::encode_window)
+    /// and [`encode_batch`](Self::encode_batch).
+    fn encode_into(&self, window: &Matrix, out: &mut [f32], scratch: &mut Scratch) -> Result<()> {
         let (t_total, cols) = window.shape();
         if cols != self.config.sensors {
             return Err(HdcError::DimensionMismatch {
@@ -213,73 +264,44 @@ impl MultiSensorEncoder {
                 actual: cols,
             });
         }
-        let n = self.config.ngram;
+        let (d, n) = (self.config.dim, self.config.ngram);
         if t_total < n {
             return Err(HdcError::InvalidConfig {
                 what: format!("window of {t_total} steps is shorter than the n-gram size {n}"),
             });
         }
-        let d = self.config.dim;
-        let mut acc = vec![0.0f32; d];
-        // Ring buffer of the last n quantised step hypervectors.
-        let mut ring = vec![vec![0.0f32; d]; n];
-        let mut prod = vec![0.0f32; d];
-
+        let Scratch { ring, prod, local } = scratch;
         for (s, level_memory) in self.level_memories.iter().enumerate() {
             let (lo, hi) = self.sensor_range(window, s);
             let span = hi - lo;
             // Per-sensor accumulation happens in a local buffer, then gets
-            // signature-bound into the window accumulator.
-            let mut local = vec![0.0f32; d];
+            // signature-bound into the window accumulator. Ring slot t % n
+            // holds the quantised hypervector of step t.
+            local.fill(0.0);
             for (t, y) in window.col(s).enumerate() {
                 let alpha = if span > 1e-12 { (y - lo) / span } else { 0.5 };
-                let slot = t % n;
-                level_memory.encode_into(alpha, &mut ring[slot]);
+                level_memory.encode_into(alpha, &mut ring[(t % n) * d..][..d]);
                 if t + 1 >= n {
                     // n-gram ending at step t: element at step t-j gets shift j.
-                    prod.copy_from_slice(&ring[t % n]);
+                    prod.copy_from_slice(&ring[(t % n) * d..][..d]);
                     for j in 1..n {
-                        mul_shifted(&mut prod, &ring[(t - j) % n], j % d);
+                        mul_shifted(prod, &ring[((t - j) % n) * d..][..d], j % d);
                     }
-                    for (a, &p) in local.iter_mut().zip(&prod) {
+                    for (a, &p) in local.iter_mut().zip(prod.iter()) {
                         *a += p;
                     }
                 }
             }
-            // Spatial integration: acc += G_s ∗ H_s.
+            // Spatial integration: out += G_s ∗ H_s.
             let signature = self.signatures.signature(s)?;
-            for ((a, &l), &g) in acc.iter_mut().zip(&local).zip(signature.as_slice()) {
+            for ((a, &l), &g) in out.iter_mut().zip(local.iter()).zip(signature.as_slice()) {
                 *a += l * g;
             }
         }
-
-        let mut hv = Hypervector::from_vec(acc);
         if self.config.normalize {
-            hv.normalize();
+            vecops::normalize(out);
         }
-        Ok(hv)
-    }
-
-    /// Encodes a batch of windows into a `(batch, dim)` matrix, in parallel.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`encode_window`](Self::encode_window) error
-    /// (all windows must share the sensor count and satisfy the n-gram
-    /// length requirement).
-    pub fn encode_batch(&self, windows: &[Matrix], threads: usize) -> Result<Matrix> {
-        if windows.is_empty() {
-            return Ok(Matrix::zeros(0, self.config.dim));
-        }
-        let mut results: Vec<Result<Hypervector>> =
-            (0..windows.len()).map(|_| Ok(Hypervector::zeros(0))).collect();
-        parallel::par_map_into(windows, &mut results, threads, |w| self.encode_window(w));
-        let mut out = Matrix::zeros(windows.len(), self.config.dim);
-        for (i, r) in results.into_iter().enumerate() {
-            let hv = r?;
-            out.row_mut(i).copy_from_slice(hv.as_slice());
-        }
-        Ok(out)
+        Ok(())
     }
 
     /// Regenerates the listed dimensions of every codebook with fresh random

@@ -73,6 +73,14 @@ pub struct FitReport {
 
 /// An HDC classifier: one class hypervector per class (paper §3.4).
 ///
+/// [`fit`](Self::fit) is the one training entry point. Training and
+/// scoring share one kernel: a sample's dot with every class, four classes
+/// per pass over the dimension, each dot its own `f64` sum. A cosine then
+/// takes the sample's and the class's squared norms; `fit` sums each of
+/// those once and keeps them, instead of once per class per call. Every sum
+/// runs in index order, as in [`vecops::cosine`], so scores and trained
+/// bits equal those of per-class `vecops::cosine` calls.
+///
 /// # Example
 ///
 /// ```
@@ -189,10 +197,12 @@ impl HdcClassifier {
     /// Returns [`HdcError::DimensionMismatch`] when the sample dimension
     /// differs from the model's.
     pub fn scores(&self, sample: &[f32]) -> Result<Vec<f32>> {
-        self.check_dim(sample)?;
-        Ok((0..self.config.num_classes)
-            .map(|c| vecops::cosine(sample, self.class_hvs.row(c)))
-            .collect())
+        self.check_dim(sample.len())?;
+        let mut dots = vec![0.0f64; self.config.num_classes];
+        class_dots([sample], &self.class_hvs, &mut dots);
+        let mut scores = vec![0.0f32; self.config.num_classes];
+        cosines_into(&dots, dot(sample, sample), &class_sq_norms(&self.class_hvs), &mut scores);
+        Ok(scores)
     }
 
     /// Predicts the class with the highest cosine similarity.
@@ -205,140 +215,58 @@ impl HdcClassifier {
         Ok(vecops::argmax(&scores).unwrap_or(0))
     }
 
-    /// Predicts a whole `(batch, dim)` matrix in parallel.
+    /// Predicts a whole `(batch, dim)` matrix in parallel. The class norms
+    /// are summed once per call, and each worker scores its rows two per
+    /// kernel pass.
     ///
     /// # Errors
     ///
     /// Returns [`HdcError::DimensionMismatch`] when the batch width differs
     /// from the model dimension.
     pub fn predict_batch(&self, samples: &Matrix, threads: usize) -> Result<Vec<usize>> {
-        if samples.cols() != self.config.dim {
-            return Err(HdcError::DimensionMismatch {
-                expected: self.config.dim,
-                actual: samples.cols(),
-            });
-        }
+        self.check_dim(samples.cols())?;
+        let class_norms = class_sq_norms(&self.class_hvs);
         let mut out = vec![0usize; samples.rows()];
         parallel::par_chunks_indexed(&mut out, threads, |start, chunk| {
-            for (k, o) in chunk.iter_mut().enumerate() {
-                let scores: Vec<f32> = (0..self.config.num_classes)
-                    .map(|c| vecops::cosine(samples.row(start + k), self.class_hvs.row(c)))
-                    .collect();
-                *o = vecops::argmax(&scores).unwrap_or(0);
-            }
+            let sample_norms: Vec<f64> =
+                samples.iter_rows().skip(start).take(chunk.len()).map(|x| dot(x, x)).collect();
+            self.predict_rows(samples, start, &sample_norms, &class_norms, chunk);
         });
         Ok(out)
-    }
-
-    /// Single-pass bootstrap: adds a sample to its class with adaptive
-    /// weight `1 − δ(H, C_label)` (how OnlineHD builds its initial model).
-    ///
-    /// # Errors
-    ///
-    /// - [`HdcError::DimensionMismatch`] on a dimension mismatch.
-    /// - [`HdcError::LabelOutOfRange`] for an invalid label.
-    pub fn bootstrap_one(&mut self, sample: &[f32], label: usize) -> Result<()> {
-        self.check_dim(sample)?;
-        self.check_label(label)?;
-        let delta = vecops::cosine(sample, self.class_hvs.row(label));
-        let w = 1.0 - delta;
-        vecops::axpy(w, sample, self.class_hvs.row_mut(label));
-        Ok(())
-    }
-
-    /// One adaptive update (Eq. 2). Returns `true` when the sample was
-    /// mispredicted and the model changed.
-    ///
-    /// # Errors
-    ///
-    /// - [`HdcError::DimensionMismatch`] on a dimension mismatch.
-    /// - [`HdcError::LabelOutOfRange`] for an invalid label.
-    pub fn update_one(&mut self, sample: &[f32], label: usize) -> Result<bool> {
-        self.check_dim(sample)?;
-        self.check_label(label)?;
-        let scores = self.scores(sample)?;
-        let predicted = vecops::argmax(&scores).unwrap_or(0);
-        if predicted == label {
-            return Ok(false);
-        }
-        let eta = self.config.learning_rate;
-        let w_true = eta * (1.0 - scores[label]);
-        let w_pred = eta * (1.0 - scores[predicted]);
-        vecops::axpy(w_true, sample, self.class_hvs.row_mut(label));
-        vecops::axpy(-w_pred, sample, self.class_hvs.row_mut(predicted));
-        Ok(true)
-    }
-
-    /// One *streaming* adaptive update (the paper's Eq. 1–2 fused for
-    /// online data): the sample is always bundled into its class with the
-    /// adaptive weight `1 − δ(H, C_label)`, and when the model currently
-    /// mispredicts it the wrongly winning class is additionally pushed away
-    /// with `η (1 − δ(H, C_pred))`. Unlike [`fit`](Self::fit) this touches
-    /// the model exactly once per sample and never iterates — the
-    /// single-pass variant for latency-critical loops that cannot hold a
-    /// buffer. When a buffered batch *is* available (e.g.
-    /// `smore::Smore::enroll_domain`), the multi-epoch [`fit`](Self::fit)
-    /// is measurably more accurate (~10 points on the streaming-enrolment
-    /// calibration scenario) and remains the default. Returns `true` when
-    /// the sample was mispredicted before the update.
-    ///
-    /// # Errors
-    ///
-    /// - [`HdcError::DimensionMismatch`] on a dimension mismatch.
-    /// - [`HdcError::LabelOutOfRange`] for an invalid label.
-    pub fn adapt_one(&mut self, sample: &[f32], label: usize) -> Result<bool> {
-        self.check_dim(sample)?;
-        self.check_label(label)?;
-        let scores = self.scores(sample)?;
-        let predicted = vecops::argmax(&scores).unwrap_or(0);
-        let w_true = 1.0 - scores[label];
-        if w_true.is_finite() && w_true > 0.0 {
-            vecops::axpy(w_true, sample, self.class_hvs.row_mut(label));
-        }
-        if predicted == label {
-            return Ok(false);
-        }
-        let w_pred = self.config.learning_rate * (1.0 - scores[predicted]);
-        if w_pred.is_finite() && w_pred > 0.0 {
-            vecops::axpy(-w_pred, sample, self.class_hvs.row_mut(predicted));
-        }
-        Ok(true)
-    }
-
-    /// Streams a labelled micro-batch through [`adapt_one`](Self::adapt_one)
-    /// in arrival order, returning the number of samples that were
-    /// mispredicted when they arrived.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the per-sample errors of [`adapt_one`](Self::adapt_one),
-    /// plus a length-mismatch error when `labels` disagrees with the batch.
-    pub fn adapt_batch(&mut self, samples: &Matrix, labels: &[usize]) -> Result<usize> {
-        if samples.rows() != labels.len() {
-            return Err(HdcError::Tensor(smore_tensor::TensorError::LengthMismatch {
-                expected: samples.rows(),
-                actual: labels.len(),
-            }));
-        }
-        let mut mispredicted = 0usize;
-        for (i, &label) in labels.iter().enumerate() {
-            if self.adapt_one(samples.row(i), label)? {
-                mispredicted += 1;
-            }
-        }
-        Ok(mispredicted)
     }
 
     /// Trains on a `(batch, dim)` matrix with labels: one bootstrap pass
     /// followed by up to `epochs` corrective passes (early-stopping when an
     /// epoch makes no update).
     ///
+    /// - **Bootstrap** (how OnlineHD builds its initial model): each sample
+    ///   in turn is added to its class with weight `1 − δ(H, C_label)`.
+    /// - **Corrective epochs** (Eq. 1–2): a sample the model mispredicts is
+    ///   added to its true class with weight `η (1 − δ(H, C_true))` and
+    ///   subtracted from the winning class with weight `η (1 − δ(H, C_pred))`.
+    ///   `FitReport::train_accuracy` is measured on the model as it stands
+    ///   at the end of each epoch, and training stops after an epoch with no
+    ///   update.
+    ///
+    /// Every input is validated before the first write, so a rejected call
+    /// leaves the model unchanged.
+    ///
+    /// Scores come from the blocked dot kernel and cached squared norms:
+    /// each sample's `Σx²` is summed once per call, and each class's `Σc²`
+    /// once at the start (the model may be seeded) and again, from the
+    /// written values and in the same pass, whenever its row is written.
+    /// Never updating a norm algebraically keeps every sum in index order,
+    /// as [`vecops::cosine`] sums it, so the trained bits equal those of a
+    /// loop that calls `vecops::cosine` and `vecops::axpy` per class.
+    ///
     /// # Errors
     ///
     /// - [`HdcError::EmptyInput`] when the batch is empty.
     /// - [`HdcError::Tensor`] wrapping a shape error when `labels` disagrees
-    ///   with the batch, plus the per-sample errors of
-    ///   [`update_one`](Self::update_one).
+    ///   with the batch.
+    /// - [`HdcError::DimensionMismatch`] when the batch width differs from
+    ///   the model dimension.
+    /// - [`HdcError::LabelOutOfRange`] for the first invalid label.
     pub fn fit(&mut self, samples: &Matrix, labels: &[usize]) -> Result<FitReport> {
         if samples.rows() == 0 {
             return Err(HdcError::EmptyInput { what: "training samples" });
@@ -349,26 +277,45 @@ impl HdcClassifier {
                 actual: labels.len(),
             }));
         }
-        for (i, &label) in labels.iter().enumerate() {
-            self.bootstrap_one(samples.row(i), label)?;
+        self.check_dim(samples.cols())?;
+        let classes = self.config.num_classes;
+        if let Some(&label) = labels.iter().find(|&&l| l >= classes) {
+            return Err(HdcError::LabelOutOfRange { label, num_classes: classes });
         }
+        let sample_norms: Vec<f64> = samples.iter_rows().map(|x| dot(x, x)).collect();
+        let mut class_norms = class_sq_norms(&self.class_hvs);
+        for (i, &label) in labels.iter().enumerate() {
+            let x = samples.row(i);
+            let row = self.class_hvs.row_mut(label);
+            let w = 1.0 - cosine_from(dot(x, row), sample_norms[i], class_norms[label]);
+            class_norms[label] = axpy_sq_norm(w, x, row);
+        }
+        let eta = self.config.learning_rate;
+        let mut dots = vec![0.0f64; classes];
+        let mut scores = vec![0.0f32; classes];
+        let mut predicted = vec![0usize; labels.len()];
         let mut report = FitReport::default();
         for _ in 0..self.config.epochs {
             let mut updates = 0usize;
             for (i, &label) in labels.iter().enumerate() {
-                if self.update_one(samples.row(i), label)? {
-                    updates += 1;
+                let x = samples.row(i);
+                class_dots([x], &self.class_hvs, &mut dots);
+                cosines_into(&dots, sample_norms[i], &class_norms, &mut scores);
+                let predicted = vecops::argmax(&scores).unwrap_or(0);
+                if predicted == label {
+                    continue;
                 }
+                let w_true = eta * (1.0 - scores[label]);
+                let w_pred = eta * (1.0 - scores[predicted]);
+                class_norms[label] = axpy_sq_norm(w_true, x, self.class_hvs.row_mut(label));
+                class_norms[predicted] =
+                    axpy_sq_norm(-w_pred, x, self.class_hvs.row_mut(predicted));
+                updates += 1;
             }
             report.epochs_run += 1;
             report.updates_per_epoch.push(updates);
-            let correct = labels
-                .iter()
-                .enumerate()
-                .filter(|&(i, &l)| {
-                    self.predict_one(samples.row(i)).map(|p| p == l).unwrap_or(false)
-                })
-                .count();
+            self.predict_rows(samples, 0, &sample_norms, &class_norms, &mut predicted);
+            let correct = predicted.iter().zip(labels).filter(|(p, l)| p == l).count();
             report.train_accuracy.push(correct as f32 / labels.len() as f32);
             if updates == 0 {
                 break;
@@ -412,22 +359,139 @@ impl HdcClassifier {
         HdcClassifier::from_class_hypervectors(acc)
     }
 
-    fn check_dim(&self, sample: &[f32]) -> Result<()> {
-        if sample.len() != self.config.dim {
-            return Err(HdcError::DimensionMismatch {
-                expected: self.config.dim,
-                actual: sample.len(),
-            });
+    fn check_dim(&self, len: usize) -> Result<()> {
+        if len != self.config.dim {
+            return Err(HdcError::DimensionMismatch { expected: self.config.dim, actual: len });
         }
         Ok(())
     }
 
-    fn check_label(&self, label: usize) -> Result<()> {
-        if label >= self.config.num_classes {
-            return Err(HdcError::LabelOutOfRange { label, num_classes: self.config.num_classes });
+    /// Predicts `out.len()` consecutive rows of `samples` from row `start`,
+    /// given their squared norms and the classes'. Rows go two per kernel
+    /// pass; a last odd row goes alone.
+    fn predict_rows(
+        &self,
+        samples: &Matrix,
+        start: usize,
+        sample_norms: &[f64],
+        class_norms: &[f64],
+        out: &mut [usize],
+    ) {
+        let classes = self.config.num_classes;
+        let mut dots = vec![0.0f64; 2 * classes];
+        let mut scores = vec![0.0f32; classes];
+        for (k, (pair, norms)) in out.chunks_mut(2).zip(sample_norms.chunks(2)).enumerate() {
+            let row = start + 2 * k;
+            if pair.len() == 2 {
+                class_dots([samples.row(row), samples.row(row + 1)], &self.class_hvs, &mut dots);
+            } else {
+                class_dots([samples.row(row)], &self.class_hvs, &mut dots[..classes]);
+            }
+            for ((p, &na), dots) in pair.iter_mut().zip(norms).zip(dots.chunks(classes)) {
+                cosines_into(dots, na, class_norms, &mut scores);
+                *p = vecops::argmax(&scores).unwrap_or(0);
+            }
         }
-        Ok(())
     }
+}
+
+/// Class rows per pass of [`class_dots`] over the dimension.
+const BLOCK: usize = 4;
+
+/// `Σ_i a_i b_i` in `f64`, summed in index order: the dot that
+/// [`vecops::cosine`] sums, and, with `b = a`, its squared norm.
+fn dot(a: &[f32], b: &[f32]) -> f64 {
+    let mut acc = 0.0f64;
+    for (&x, &y) in a.iter().zip(b) {
+        acc += (x as f64) * (y as f64);
+    }
+    acc
+}
+
+/// The rows of the class block that starts at `start`. A partial last
+/// block repeats its last row; [`class_dots`] drops those sums.
+fn block_rows(class_hvs: &Matrix, start: usize) -> [&[f32]; BLOCK] {
+    let last = class_hvs.rows() - 1;
+    std::array::from_fn(|k| class_hvs.row((start + k).min(last)))
+}
+
+/// The one scoring kernel: `dots[s * C + c] = Σ_i xs[s]_i C_ci` for every
+/// sample `s` and class `c`, in one pass over the dimension per block of
+/// [`BLOCK`] classes. Every dot is its own `f64` accumulator summed in
+/// index order, so each equals the dot of [`vecops::cosine`] bit for bit;
+/// the blocks only run independent sums side by side.
+fn class_dots<const S: usize>(xs: [&[f32]; S], class_hvs: &Matrix, dots: &mut [f64]) {
+    let (classes, dim) = class_hvs.shape();
+    let xs = xs.map(|x| &x[..dim]);
+    for start in (0..classes).step_by(BLOCK) {
+        let [r0, r1, r2, r3] = block_rows(class_hvs, start).map(|r| &r[..dim]);
+        let mut acc = [[0.0f64; BLOCK]; S];
+        // Spelled out per class, with no closure or iterator adaptor per
+        // element: unoptimised test builds run this loop too.
+        for i in 0..dim {
+            let c = [r0[i] as f64, r1[i] as f64, r2[i] as f64, r3[i] as f64];
+            for s in 0..S {
+                let x = xs[s][i] as f64;
+                acc[s][0] += x * c[0];
+                acc[s][1] += x * c[1];
+                acc[s][2] += x * c[2];
+                acc[s][3] += x * c[3];
+            }
+        }
+        let take = BLOCK.min(classes - start);
+        for (out, acc) in dots.chunks_mut(classes).zip(&acc) {
+            out[start..start + take].copy_from_slice(&acc[..take]);
+        }
+    }
+}
+
+/// `Σ_i C_ci²` of every class row, each summed as [`vecops::cosine`] sums
+/// it. Rows go [`BLOCK`] per pass, so [`HdcClassifier::scores`], which has
+/// no cached norms, reads the classes twice per call rather than once per
+/// class.
+fn class_sq_norms(class_hvs: &Matrix) -> Vec<f64> {
+    let (classes, dim) = class_hvs.shape();
+    let mut norms = vec![0.0f64; classes];
+    for start in (0..classes).step_by(BLOCK) {
+        let [r0, r1, r2, r3] = block_rows(class_hvs, start).map(|r| &r[..dim]);
+        let mut acc = [0.0f64; BLOCK];
+        for i in 0..dim {
+            let c = [r0[i] as f64, r1[i] as f64, r2[i] as f64, r3[i] as f64];
+            acc[0] += c[0] * c[0];
+            acc[1] += c[1] * c[1];
+            acc[2] += c[2] * c[2];
+            acc[3] += c[3] * c[3];
+        }
+        let take = BLOCK.min(classes - start);
+        norms[start..start + take].copy_from_slice(&acc[..take]);
+    }
+    norms
+}
+
+/// The last step of [`vecops::cosine`], from its three sums.
+fn cosine_from(dot: f64, na: f64, nb: f64) -> f32 {
+    if na == 0.0 || nb == 0.0 {
+        return 0.0;
+    }
+    (dot / (na.sqrt() * nb.sqrt())) as f32
+}
+
+/// `scores[c] = δ(H, C_c)` from the sample's dots and the squared norms.
+fn cosines_into(dots: &[f64], na: f64, class_norms: &[f64], scores: &mut [f32]) {
+    for ((s, &dot), &nb) in scores.iter_mut().zip(dots).zip(class_norms) {
+        *s = cosine_from(dot, na, nb);
+    }
+}
+
+/// `row += alpha · x` as [`vecops::axpy`] writes it, returning the written
+/// row's `Σc²` summed in index order in the same pass.
+fn axpy_sq_norm(alpha: f32, x: &[f32], row: &mut [f32]) -> f64 {
+    let mut acc = 0.0f64;
+    for (y, &xi) in row.iter_mut().zip(x) {
+        *y += alpha * xi;
+        acc += (*y as f64) * (*y as f64);
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -497,38 +561,31 @@ mod tests {
     }
 
     #[test]
-    fn update_one_is_noop_on_correct_prediction() {
-        let (samples, labels) = clustered(3, 20, 256, 2, 0.2);
-        let mut model = HdcClassifier::new(toy_config(256, 2)).unwrap();
-        model.fit(&samples, &labels).unwrap();
-        let before = model.class_hypervectors().clone();
-        let changed = model.update_one(samples.row(0), labels[0]).unwrap();
-        assert!(!changed);
-        assert_eq!(model.class_hypervectors(), &before);
-    }
-
-    #[test]
-    fn update_one_moves_toward_true_class() {
-        let mut model = HdcClassifier::new(toy_config(64, 2)).unwrap();
+    fn fit_moves_a_pattern_from_the_wrong_class_to_its_label() {
         let mut rng = init::rng(4);
-        let h = init::bipolar_vec(&mut rng, 64);
-        // Put the sample's pattern into the *wrong* class first.
-        model.bootstrap_one(&h, 1).unwrap();
-        let changed = model.update_one(&h, 0).unwrap();
-        assert!(changed);
-        let scores = model.scores(&h).unwrap();
-        // After one corrective update, true-class similarity increased.
-        assert!(scores[0] > 0.0);
+        let h = init::bipolar_vec(&mut rng, 256);
+        // Class 1 starts close to the sample's pattern, class 0 far from it.
+        let mut seeded = init::bipolar_matrix(&mut rng, 2, 256);
+        seeded.row_mut(1).iter_mut().zip(&h).for_each(|(c, &x)| *c = 0.5 * *c + x);
+        let mut model = HdcClassifier::from_class_hypervectors_with(seeded, 0.1, 30).unwrap();
+        let samples = Matrix::from_vec(1, 256, h.clone()).unwrap();
+        let report = model.fit(&samples, &[0]).unwrap();
+        // The bootstrap leaves class 1 winning; corrective epochs pull the
+        // pattern into class 0 and push it out of class 1 until it flips.
+        assert_eq!(report.updates_per_epoch[0], 1);
+        assert_eq!(report.updates_per_epoch.last(), Some(&0));
+        assert_eq!(model.predict_one(&h).unwrap(), 0);
     }
 
     #[test]
     fn adaptive_weight_shrinks_for_known_patterns() {
         let mut model = HdcClassifier::new(toy_config(128, 1)).unwrap();
         let mut rng = init::rng(5);
-        let h = init::bipolar_vec(&mut rng, 128);
-        model.bootstrap_one(&h, 0).unwrap();
+        let h = Matrix::from_vec(1, 128, init::bipolar_vec(&mut rng, 128)).unwrap();
+        // One class: the bootstrap is the only write.
+        model.fit(&h, &[0]).unwrap();
         let after_first = model.class_hypervectors().row(0).to_vec();
-        model.bootstrap_one(&h, 0).unwrap();
+        model.fit(&h, &[0]).unwrap();
         let after_second = model.class_hypervectors().row(0).to_vec();
         // Second addition of the identical pattern contributes ~nothing.
         let first_norm = smore_tensor::vecops::norm(&after_first);
@@ -537,41 +594,37 @@ mod tests {
     }
 
     #[test]
-    fn adapt_one_learns_online() {
-        let (samples, labels) = clustered(11, 40, 512, 2, 0.5);
-        let mut model = HdcClassifier::new(toy_config(512, 2)).unwrap();
-        // Stream every sample through exactly once.
-        let misses = model.adapt_batch(&samples, &labels).unwrap();
-        assert!(misses < samples.rows(), "online pass should start predicting correctly");
-        let correct = (0..samples.rows())
-            .filter(|&i| model.predict_one(samples.row(i)).unwrap() == labels[i])
-            .count();
-        assert!(correct as f32 / labels.len() as f32 > 0.9, "online accuracy {correct}/40");
-    }
-
-    #[test]
-    fn adapt_one_reports_mispredictions_and_validates() {
-        let mut model = HdcClassifier::new(toy_config(64, 2)).unwrap();
-        let mut rng = init::rng(12);
-        let h = init::bipolar_vec(&mut rng, 64);
-        // Zero model predicts class 0 by argmax convention; label 1 is a miss.
-        assert!(model.adapt_one(&h, 1).unwrap());
-        // The identical pattern is now well represented: no misprediction.
-        assert!(!model.adapt_one(&h, 1).unwrap());
-        assert!(model.adapt_one(&h[..32], 0).is_err());
-        assert!(model.adapt_one(&h, 9).is_err());
-        let bad = Matrix::zeros(3, 64);
-        assert!(model.adapt_batch(&bad, &[0, 1]).is_err());
-    }
-
-    #[test]
     fn fit_rejects_bad_inputs() {
         let mut model = HdcClassifier::new(toy_config(32, 2)).unwrap();
         let empty = Matrix::zeros(0, 32);
         assert!(matches!(model.fit(&empty, &[]), Err(HdcError::EmptyInput { .. })));
-        let samples = Matrix::zeros(3, 32);
+        // Non-zero samples: a partial write before the rejection would show
+        // in the class hypervectors.
+        let (samples, _) = clustered(9, 3, 32, 2, 0.3);
+        let unchanged = |model: &HdcClassifier| {
+            model.class_hypervectors().as_slice().iter().all(|x| x.to_bits() == 0)
+        };
         assert!(model.fit(&samples, &[0, 1]).is_err(), "label count mismatch");
-        assert!(model.fit(&samples, &[0, 1, 5]).is_err(), "label out of range");
+        assert!(unchanged(&model));
+        assert!(matches!(
+            model.fit(&samples, &[0, 1, 5]),
+            Err(HdcError::LabelOutOfRange { label: 5, num_classes: 2 })
+        ));
+        assert!(unchanged(&model), "rows before the bad label must not be bundled");
+        let (narrow, _) = clustered(9, 3, 16, 2, 0.3);
+        assert!(matches!(
+            model.fit(&narrow, &[0, 1, 0]),
+            Err(HdcError::DimensionMismatch { expected: 32, actual: 16 })
+        ));
+        assert!(unchanged(&model));
+        // A seeded model keeps its bits too.
+        model.fit(&samples, &[0, 1, 0]).unwrap();
+        let before: Vec<u32> =
+            model.class_hypervectors().as_slice().iter().map(|x| x.to_bits()).collect();
+        assert!(model.fit(&samples, &[1, 0, 2]).is_err());
+        let after: Vec<u32> =
+            model.class_hypervectors().as_slice().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(before, after);
     }
 
     #[test]

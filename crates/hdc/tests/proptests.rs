@@ -1,14 +1,148 @@
-//! Property-based tests for the HDC substrate invariants (paper §3.1).
+//! Property-based tests for the HDC substrate invariants (paper §3.1), and
+//! oracles for the fast paths: the classifier's blocked, norm-cached
+//! trainer and scorer against a per-class `vecops` reference, and the
+//! in-place batch encoder against `encode_window`.
 
 use proptest::prelude::*;
+use rand::Rng;
 use smore_hdc::encoder::{EncoderConfig, MultiSensorEncoder};
 use smore_hdc::memory::{LevelMemory, Quantization};
-use smore_hdc::model::{HdcClassifier, HdcClassifierConfig};
-use smore_hdc::Hypervector;
-use smore_tensor::{init, Matrix};
+use smore_hdc::model::{FitReport, HdcClassifier, HdcClassifierConfig};
+use smore_hdc::{HdcError, Hypervector};
+use smore_tensor::{init, vecops, Matrix};
 
 fn bipolar_hv(seed: u64, dim: usize) -> Hypervector {
     Hypervector::from_vec(init::bipolar_vec(&mut init::rng(seed), dim))
+}
+
+/// Per-class cosine scores, one `vecops::cosine` call per class.
+fn reference_scores(class_hvs: &Matrix, x: &[f32]) -> Vec<f32> {
+    class_hvs.iter_rows().map(|c| vecops::cosine(x, c)).collect()
+}
+
+fn reference_predict(class_hvs: &Matrix, x: &[f32]) -> usize {
+    vecops::argmax(&reference_scores(class_hvs, x)).unwrap_or(0)
+}
+
+/// `HdcClassifier::fit` written out plainly on `vecops::cosine` and
+/// `vecops::axpy`: a bootstrap pass, then corrective epochs (Eq. 1–2)
+/// each followed by a per-sample accuracy pass, stopping after an epoch
+/// with no update.
+fn reference_fit(
+    class_hvs: &mut Matrix,
+    samples: &Matrix,
+    labels: &[usize],
+    lr: f32,
+    epochs: usize,
+) -> FitReport {
+    for (x, &label) in samples.iter_rows().zip(labels) {
+        let w = 1.0 - vecops::cosine(x, class_hvs.row(label));
+        vecops::axpy(w, x, class_hvs.row_mut(label));
+    }
+    let mut report = FitReport::default();
+    for _ in 0..epochs {
+        let mut updates = 0;
+        for (x, &label) in samples.iter_rows().zip(labels) {
+            let scores = reference_scores(class_hvs, x);
+            let predicted = vecops::argmax(&scores).unwrap_or(0);
+            if predicted == label {
+                continue;
+            }
+            let w_true = lr * (1.0 - scores[label]);
+            let w_pred = lr * (1.0 - scores[predicted]);
+            vecops::axpy(w_true, x, class_hvs.row_mut(label));
+            vecops::axpy(-w_pred, x, class_hvs.row_mut(predicted));
+            updates += 1;
+        }
+        report.epochs_run += 1;
+        report.updates_per_epoch.push(updates);
+        let correct = samples
+            .iter_rows()
+            .zip(labels)
+            .filter(|&(x, &l)| reference_predict(class_hvs, x) == l)
+            .count();
+        report.train_accuracy.push(correct as f32 / labels.len() as f32);
+        if updates == 0 {
+            break;
+        }
+    }
+    report
+}
+
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.as_slice().iter().map(|x| x.to_bits()).collect()
+}
+
+/// A training problem: `n` noisy samples of `classes` random prototypes
+/// under random labels, row 0 all zero and the last row a copy of the first
+/// non-zero one; and a start model, zero or seeded (seeded with one
+/// all-zero class row when there are two classes or more).
+fn problem(
+    seed: u64,
+    dim: usize,
+    classes: usize,
+    n: usize,
+    seeded: bool,
+) -> (Matrix, Vec<usize>, Matrix) {
+    let mut rng = init::rng(seed);
+    let protos = init::bipolar_matrix(&mut rng, classes, dim);
+    let labels: Vec<usize> = (0..n).map(|_| rng.gen_range(0..classes)).collect();
+    let noise = init::normal_matrix(&mut rng, n, dim);
+    let mut samples =
+        Matrix::from_fn(n, dim, |i, j| protos.get(labels[i], j) + 1.5 * noise.get(i, j));
+    samples.row_mut(0).fill(0.0);
+    if n >= 3 {
+        let copy = samples.row(1).to_vec();
+        samples.row_mut(n - 1).copy_from_slice(&copy);
+    }
+    let mut start = Matrix::zeros(classes, dim);
+    if seeded {
+        start = init::normal_matrix(&mut rng, classes, dim);
+        if classes >= 2 {
+            start.row_mut(classes - 1).fill(0.0);
+        }
+    }
+    (samples, labels, start)
+}
+
+/// Trains `HdcClassifier::fit` and the reference from the same start and
+/// checks the trained bits, the report, and every scoring entry point.
+fn check_trainer(
+    seed: u64,
+    dim: usize,
+    classes: usize,
+    n: usize,
+    lr: f32,
+    epochs: usize,
+    seeded: bool,
+) -> Result<(), TestCaseError> {
+    let (samples, labels, start) = problem(seed, dim, classes, n, seeded);
+    let mut model = HdcClassifier::from_class_hypervectors_with(start.clone(), lr, epochs).unwrap();
+    let report = model.fit(&samples, &labels).unwrap();
+    let mut expected = start;
+    let expected_report = reference_fit(&mut expected, &samples, &labels, lr, epochs);
+    prop_assert_eq!(bits(model.class_hypervectors()), bits(&expected));
+    prop_assert_eq!(&report, &expected_report);
+
+    // A query batch that is not the training set, with a zero row.
+    let mut queries = init::normal_matrix(&mut init::rng(seed ^ 1), n, dim);
+    queries.row_mut(n / 2).fill(0.0);
+    let want: Vec<usize> = queries.iter_rows().map(|q| reference_predict(&expected, q)).collect();
+    for (q, &w) in queries.iter_rows().zip(&want) {
+        let got: Vec<u32> = model.scores(q).unwrap().iter().map(|s| s.to_bits()).collect();
+        let reference: Vec<u32> =
+            reference_scores(&expected, q).iter().map(|s| s.to_bits()).collect();
+        prop_assert_eq!(got, reference);
+        prop_assert_eq!(model.predict_one(q).unwrap(), w);
+    }
+    for threads in [1, 3] {
+        prop_assert_eq!(&model.predict_batch(&queries, threads).unwrap(), &want);
+    }
+    Ok(())
+}
+
+fn window(rng: &mut impl Rng, steps: usize, sensors: usize) -> Matrix {
+    Matrix::from_fn(steps, sensors, |_, _| rng.gen_range(-2.0f32..2.0))
 }
 
 proptest! {
@@ -152,5 +286,96 @@ proptest! {
         let ens = HdcClassifier::ensemble(&[&model, &model], &[0.7, 0.3]).unwrap();
         let query = init::normal_vec(&mut rng, dim);
         prop_assert_eq!(model.predict_one(&query).unwrap(), ens.predict_one(&query).unwrap());
+    }
+
+    #[test]
+    fn fit_and_scoring_match_the_vecops_reference(
+        seed in any::<u64>(),
+        dim in 1usize..300,
+        classes in 1usize..14,
+        n in 1usize..41,
+        lr_gap in 0.0f32..1.0,
+        epochs in 1usize..13,
+        seeded in prop::bool::ANY,
+    ) {
+        check_trainer(seed, dim, classes, n, 1.0 - lr_gap, epochs, seeded)?;
+    }
+
+    #[test]
+    fn scoring_sums_every_dot_in_index_order(
+        seed in any::<u64>(),
+        dim in 4usize..300,
+        classes in 1usize..14,
+    ) {
+        // Products with class 0 run 2^40, 2^-14, -2^40, 2^-14, …: summed in
+        // index order each 2^-14 after a 2^40 is lost, summed in any other
+        // order they survive. The f32 cosine is tiny either way, but not the
+        // same, so the scores show the order of the sum.
+        let class_hvs = init::bipolar_matrix(&mut init::rng(seed), classes, dim);
+        let model = HdcClassifier::from_class_hypervectors(class_hvs.clone()).unwrap();
+        let (big, small) = (2f32.powi(40), 2f32.powi(-14));
+        let q: Vec<f32> = class_hvs
+            .row(0)
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| c * [big, small, -big, small][i % 4])
+            .collect();
+        let got: Vec<u32> = model.scores(&q).unwrap().iter().map(|s| s.to_bits()).collect();
+        let want: Vec<u32> = reference_scores(&class_hvs, &q).iter().map(|s| s.to_bits()).collect();
+        prop_assert_eq!(got, want);
+        // Three rows: one two-sample pass and one single-sample pass.
+        let noise = init::normal_vec(&mut init::rng(seed ^ 2), dim);
+        let batch = Matrix::from_rows(&[&q, &noise, &q]).unwrap();
+        let want: Vec<usize> = batch.iter_rows().map(|x| reference_predict(&class_hvs, x)).collect();
+        for threads in [1, 3] {
+            prop_assert_eq!(&model.predict_batch(&batch, threads).unwrap(), &want);
+        }
+    }
+
+    #[test]
+    fn encode_batch_rows_match_encode_window(
+        seed in any::<u64>(),
+        size in 0usize..4,
+        bad in any::<u64>(),
+    ) {
+        // Batch sizes 0, 1 and odd.
+        let n = [0usize, 1, 7, 13][size];
+        let cfg = EncoderConfig { dim: 97, sensors: 3, seed, ..EncoderConfig::default() };
+        let enc = MultiSensorEncoder::new(cfg).unwrap();
+        let mut rng = init::rng(seed);
+        let mut windows: Vec<Matrix> = (0..n).map(|_| window(&mut rng, 9, 3)).collect();
+        for threads in [1, 2, 3, 8] {
+            let batch = enc.encode_batch(&windows, threads).unwrap();
+            prop_assert_eq!(batch.shape(), (n, 97));
+            for (row, w) in batch.iter_rows().zip(&windows) {
+                let single = enc.encode_window(w).unwrap();
+                let single: Vec<u32> = single.as_slice().iter().map(|x| x.to_bits()).collect();
+                let row: Vec<u32> = row.iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(row, single);
+            }
+        }
+        // A malformed window at a random index, a differently malformed one
+        // after it: the batch reports the first one's error.
+        if n > 0 {
+            let at = (bad % n as u64) as usize;
+            windows[at] = window(&mut rng, 9, 2);
+            let want = enc.encode_window(&windows[at]).unwrap_err();
+            prop_assert_eq!(&want, &HdcError::DimensionMismatch { expected: 3, actual: 2 });
+            if at + 1 < n {
+                windows[n - 1] = window(&mut rng, 2, 3);
+            }
+            for threads in [1, 2, 3, 8] {
+                prop_assert_eq!(enc.encode_batch(&windows, threads).unwrap_err(), want.clone());
+            }
+        }
+    }
+}
+
+/// The trainer oracle at the fleet's dimension, with classes that fill one
+/// block of four and leave a remainder, from a zero and a seeded start.
+#[test]
+fn fit_matches_the_vecops_reference_at_d_4096() {
+    for seeded in [false, true] {
+        check_trainer(41, 4096, 6, 24, 0.05, 10, seeded).unwrap();
     }
 }
