@@ -10,9 +10,9 @@
 //!   [`send_ingest`](ServeClient::send_ingest), then
 //!   [`flush`](ServeClient::flush) and [`recv`](ServeClient::recv)):
 //!   many requests in flight, responses correlated by the echoed request
-//!   id. This is what the load generator uses: the server's workers serve
-//!   each request on its own, so pipelining hides the round trip while
-//!   the shard queues stay full.
+//!   id. This is what the `load_gen` smoke client uses: the server's
+//!   workers serve each request on its own, so pipelining hides the round
+//!   trip while the shard queues stay full.
 
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{TcpStream, ToSocketAddrs};

@@ -30,8 +30,8 @@
 //!   [`StatsSnapshot`] ([`ServerHandle::stats`] /
 //!   [`ServeClient::stats`](client::ServeClient::stats)).
 //! - [`synthetic`] — the canonical synthetic fleet recipe shared by the
-//!   `smore_serve --synthetic` binary, the `load_gen` bench and the
-//!   tests.
+//!   `smore_serve --synthetic` binary, its `load_gen` smoke client,
+//!   servebench and the tests.
 //!
 //! # Example
 //!

@@ -10,8 +10,8 @@
 //! ```
 //!
 //! `--synthetic` trains the canonical synthetic fleet model in-process
-//! (seconds) — the mode CI and the load generator use. `--artifact`
-//! serves a dense `.smore` artifact written by `Smore::save`.
+//! (seconds) — the mode CI and the `load_gen` smoke client use.
+//! `--artifact` serves a dense `.smore` artifact written by `Smore::save`.
 //! `--duration-secs 0` (default) serves until killed. `--stats-every N`
 //! dumps the telemetry snapshot (text exposition) to stdout every N
 //! seconds. Diagnostics go through the `SMORE_LOG`-leveled logger

@@ -188,8 +188,9 @@ pub struct ServerMetrics {
     pub sessions_hydrated: AtomicU64,
     /// Worker threads that panicked and were respawned by supervision.
     pub worker_panics: AtomicU64,
-    /// Personalized sessions suspended to the state dir by graceful
-    /// drain.
+    /// Personalized sessions the graceful drain left in the state dir,
+    /// written or re-indexed; a session whose write failed stays in
+    /// memory and is not counted.
     pub sessions_drained: AtomicU64,
     /// Tenant-state files recovered from the state dir by directory
     /// scans (startup and worker respawns).

@@ -1,8 +1,8 @@
 //! The canonical synthetic serving fleet: one recipe shared by the
-//! `smore_serve` binary's `--synthetic` mode, the `load_gen` bench and
-//! the integration tests, so a load generator pointed at a synthetic
-//! server always produces windows the server's encoder accepts — same
-//! channels, same window length, same class count.
+//! `smore_serve` binary's `--synthetic` mode, its `load_gen` smoke
+//! client, servebench and the integration tests, so a client pointed at
+//! a synthetic server always produces windows the server's encoder
+//! accepts — same channels, same window length, same class count.
 
 use smore::{Smore, SmoreConfig};
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};

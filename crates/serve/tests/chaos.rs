@@ -299,7 +299,17 @@ fn unwritable_state_dir_degrades_to_memory_not_death() {
     // rehydrates bit-exactly even though its disk is gone.
     let after = client.predict(tenant, probe).expect("predict with the disk gone");
     assert_bit_exact(&before, &after, "memory-overflow rehydration");
+
+    // The graceful drain's write fails too: the session stays in memory,
+    // which the process exit loses, so it is not counted as drained.
+    let metrics = server.metrics_arc();
     server.shutdown();
+    // ordering: Relaxed — read after shutdown() joined every worker.
+    assert_eq!(
+        metrics.sessions_drained.load(std::sync::atomic::Ordering::Relaxed),
+        0,
+        "a session whose drain write failed never reached the state dir"
+    );
     let _ = fs::remove_file(&dir);
 }
 

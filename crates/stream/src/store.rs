@@ -24,8 +24,7 @@
 //!   state, so it is handed back to the [`StateDir`] index
 //!   ([`StateDir::reindex`]) with no suspend and no write. Every other
 //!   session — one that ingested or enrolled, a fresh one, one restored
-//!   from the in-memory overflow or the memory tier — suspends and
-//!   writes.
+//!   from the in-memory archive — suspends and writes.
 //!
 //! Every eviction and rehydration is journalled
 //! ([`EventKind::SessionEvicted`] / [`EventKind::SessionHydrated`]) when
@@ -51,134 +50,105 @@ fn elapsed_nanos(since: Instant) -> u64 {
     u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Where suspended tenant state is parked: PR 8's in-memory map, or the
-/// durable [`StateDir`] tier. The disk tier keeps an in-memory
-/// `overflow` for bytes the disk refused (full, unwritable): serving
-/// availability beats durability, so a failed archive write degrades to
-/// exactly the memory-tier behaviour — counted, never lost silently.
+/// Where suspended tenant state is parked: an in-memory map, backed by a
+/// durable [`StateDir`] when the store persists. With a directory, the
+/// map is the overflow for bytes the disk refused (full, unwritable):
+/// serving availability beats durability, so a failed archive write
+/// keeps the state in memory — counted, never lost silently.
 #[derive(Debug)]
-enum ArchiveTier {
-    Memory { map: HashMap<u64, Vec<u8>>, bytes: usize },
-    Disk { state: StateDir, overflow: HashMap<u64, Vec<u8>>, overflow_bytes: usize },
+struct Archive {
+    memory: HashMap<u64, Vec<u8>>,
+    /// Sum of `memory` value lengths, maintained incrementally.
+    memory_bytes: usize,
+    state: Option<StateDir>,
 }
 
-impl ArchiveTier {
-    fn memory() -> Self {
-        ArchiveTier::Memory { map: HashMap::new(), bytes: 0 }
-    }
-
+impl Archive {
     fn tenants(&self) -> usize {
-        match self {
-            ArchiveTier::Memory { map, .. } => map.len(),
-            ArchiveTier::Disk { state, overflow, .. } => state.len() + overflow.len(),
-        }
+        self.memory.len() + self.state.as_ref().map_or(0, StateDir::len)
     }
 
     fn bytes(&self) -> usize {
-        match self {
-            ArchiveTier::Memory { bytes, .. } => *bytes,
-            ArchiveTier::Disk { state, overflow_bytes, .. } => {
-                usize::try_from(state.total_bytes()).unwrap_or(usize::MAX) + overflow_bytes
-            }
-        }
+        let disk = self.state.as_ref().map_or(0, StateDir::total_bytes);
+        usize::try_from(disk).unwrap_or(usize::MAX) + self.memory_bytes
     }
 
     fn contains(&self, tenant: u64) -> bool {
-        match self {
-            ArchiveTier::Memory { map, .. } => map.contains_key(&tenant),
-            ArchiveTier::Disk { state, overflow, .. } => {
-                overflow.contains_key(&tenant) || state.contains(tenant)
-            }
-        }
+        self.memory.contains_key(&tenant) || self.on_disk(tenant)
     }
 
-    /// The in-memory archived bytes for `tenant` (the memory map or the
-    /// disk tier's overflow) — committed on-disk state is not loaded.
+    /// Whether `tenant`'s state is committed to the state dir.
+    fn on_disk(&self, tenant: u64) -> bool {
+        self.state.as_ref().is_some_and(|s| s.contains(tenant))
+    }
+
+    /// The archived bytes held in memory for `tenant` — committed
+    /// on-disk state is not loaded.
     fn peek(&self, tenant: u64) -> Option<&[u8]> {
-        match self {
-            ArchiveTier::Memory { map, .. } => map.get(&tenant).map(Vec::as_slice),
-            ArchiveTier::Disk { overflow, .. } => overflow.get(&tenant).map(Vec::as_slice),
+        self.memory.get(&tenant).map(Vec::as_slice)
+    }
+
+    fn keep_in_memory(&mut self, tenant: u64, bytes: Vec<u8>) {
+        self.memory_bytes += bytes.len();
+        if let Some(stale) = self.memory.insert(tenant, bytes) {
+            self.memory_bytes = self.memory_bytes.saturating_sub(stale.len());
         }
     }
 
-    /// Parks `tenant`'s suspended bytes. Disk-tier write failures fall
-    /// back to the in-memory overflow (and count in
-    /// [`StateDir::write_failures`]).
+    fn take_from_memory(&mut self, tenant: u64) -> Option<Vec<u8>> {
+        let bytes = self.memory.remove(&tenant)?;
+        self.memory_bytes = self.memory_bytes.saturating_sub(bytes.len());
+        Some(bytes)
+    }
+
+    /// Parks `tenant`'s suspended bytes: written to the state dir when
+    /// there is one, kept in memory when there is none or the write
+    /// fails (counted in [`StateDir::write_failures`]).
     fn insert(&mut self, tenant: u64, bytes: Vec<u8>) {
-        match self {
-            ArchiveTier::Memory { map, bytes: total } => {
-                *total += bytes.len();
-                if let Some(stale) = map.insert(tenant, bytes) {
-                    *total = total.saturating_sub(stale.len());
-                }
-            }
-            ArchiveTier::Disk { state, overflow, overflow_bytes } => {
-                if let Some(stale) = overflow.remove(&tenant) {
-                    *overflow_bytes = overflow_bytes.saturating_sub(stale.len());
-                }
-                if let Err(e) = state.write(tenant, &bytes) {
-                    smore_obs::warn!(
-                        "store",
-                        "archive write for tenant {tenant} failed ({e}); keeping state in memory"
-                    );
-                    *overflow_bytes += bytes.len();
-                    overflow.insert(tenant, bytes);
-                }
+        self.take_from_memory(tenant);
+        if let Some(state) = &mut self.state {
+            match state.write(tenant, &bytes) {
+                Ok(()) => return,
+                Err(e) => smore_obs::warn!(
+                    "store",
+                    "archive write for tenant {tenant} failed ({e}); keeping state in memory"
+                ),
             }
         }
+        self.keep_in_memory(tenant, bytes);
     }
 
     /// Removes and returns `tenant`'s archived bytes, reading through
     /// memory → disk. The flag is true when the bytes are a committed
     /// state-dir file's, which stays on disk for [`Self::reindex`].
     fn take(&mut self, tenant: u64) -> Result<Option<(Vec<u8>, bool)>> {
-        match self {
-            ArchiveTier::Memory { map, bytes: total } => Ok(map.remove(&tenant).map(|b| {
-                *total = total.saturating_sub(b.len());
-                (b, false)
-            })),
-            ArchiveTier::Disk { state, overflow, overflow_bytes } => {
-                if let Some(bytes) = overflow.remove(&tenant) {
-                    *overflow_bytes = overflow_bytes.saturating_sub(bytes.len());
-                    return Ok(Some((bytes, false)));
-                }
-                Ok(state.take(tenant)?.map(|b| (b, true)))
-            }
+        if let Some(bytes) = self.take_from_memory(tenant) {
+            return Ok(Some((bytes, false)));
+        }
+        match &mut self.state {
+            Some(state) => Ok(state.take(tenant)?.map(|b| (b, true))),
+            None => Ok(None),
         }
     }
 
     /// Hands `tenant`'s committed file, `len` bytes long, back to the disk
-    /// index ([`StateDir::reindex`]). Returns false when there is no disk
-    /// tier or a sync-policy fsync failed: the caller then suspends and
+    /// index ([`StateDir::reindex`]). Returns false when there is no state
+    /// dir or a sync-policy fsync failed: the caller then suspends and
     /// writes, and that write reports a disk that stays faulty.
     fn reindex(&mut self, tenant: u64, len: usize) -> bool {
-        match self {
-            ArchiveTier::Memory { .. } => false,
-            ArchiveTier::Disk { state, .. } => state.reindex(tenant, len as u64).is_ok(),
-        }
+        self.state.as_mut().is_some_and(|s| s.reindex(tenant, len as u64).is_ok())
     }
 
-    /// Puts `tenant`'s bytes back after a failed resume. The memory
-    /// tier (and the disk overflow) re-inserts them for inspection; the
-    /// disk tier quarantines the on-disk artifact instead. Returns
-    /// whether a file was quarantined (the caller journals it).
+    /// Puts `tenant`'s bytes back after a failed resume: the on-disk file
+    /// is quarantined when there is one, otherwise the bytes go back to
+    /// memory for inspection. Returns whether a file was quarantined (the
+    /// caller journals it).
     fn restore_failed(&mut self, tenant: u64, bytes: Vec<u8>) -> bool {
-        match self {
-            ArchiveTier::Memory { map, bytes: total } => {
-                *total += bytes.len();
-                map.insert(tenant, bytes);
-                false
-            }
-            ArchiveTier::Disk { state, overflow, overflow_bytes } => {
-                if state.quarantine(tenant) {
-                    true
-                } else {
-                    *overflow_bytes += bytes.len();
-                    overflow.insert(tenant, bytes);
-                    false
-                }
-            }
+        if self.state.as_mut().is_some_and(|s| s.quarantine(tenant)) {
+            return true;
         }
+        self.keep_in_memory(tenant, bytes);
+        false
     }
 }
 
@@ -221,7 +191,7 @@ pub struct SessionStore {
     /// Suspended personal state of evicted tenants, as `DeltaV1` bytes —
     /// in memory, or durable on disk when built with
     /// [`SessionStore::new_persistent`].
-    tier: ArchiveTier,
+    tier: Archive,
     resident_delta_bytes: usize,
     tick: u64,
     evictions: u64,
@@ -242,7 +212,7 @@ impl SessionStore {
         max_sessions: usize,
         max_delta_bytes: usize,
     ) -> Result<Self> {
-        Self::with_tier(engine, max_sessions, max_delta_bytes, ArchiveTier::memory())
+        Self::with_state(engine, max_sessions, max_delta_bytes, None)
     }
 
     /// Like [`SessionStore::new`], but with the archive backed by a
@@ -262,19 +232,14 @@ impl SessionStore {
         max_delta_bytes: usize,
         state: StateDir,
     ) -> Result<Self> {
-        Self::with_tier(
-            engine,
-            max_sessions,
-            max_delta_bytes,
-            ArchiveTier::Disk { state, overflow: HashMap::new(), overflow_bytes: 0 },
-        )
+        Self::with_state(engine, max_sessions, max_delta_bytes, Some(state))
     }
 
-    fn with_tier(
+    fn with_state(
         engine: Arc<ServeEngine>,
         max_sessions: usize,
         max_delta_bytes: usize,
-        tier: ArchiveTier,
+        state: Option<StateDir>,
     ) -> Result<Self> {
         if max_sessions == 0 {
             return Err(SmoreError::InvalidConfig {
@@ -287,7 +252,7 @@ impl SessionStore {
             max_delta_bytes,
             resident: HashMap::new(),
             lru: BTreeMap::new(),
-            tier,
+            tier: Archive { memory: HashMap::new(), memory_bytes: 0, state },
             resident_delta_bytes: 0,
             tick: 0,
             evictions: 0,
@@ -349,34 +314,25 @@ impl SessionStore {
 
     /// Whether the archive is backed by a durable [`StateDir`].
     pub fn persists(&self) -> bool {
-        matches!(self.tier, ArchiveTier::Disk { .. })
+        self.tier.state.is_some()
     }
 
     /// Tenant-state files recovered from disk by the startup scan
     /// (0 for an in-memory store).
     pub fn state_recovered(&self) -> u64 {
-        match &self.tier {
-            ArchiveTier::Memory { .. } => 0,
-            ArchiveTier::Disk { state, .. } => state.recovered(),
-        }
+        self.tier.state.as_ref().map_or(0, StateDir::recovered)
     }
 
     /// Tenant-state files quarantined — torn, corrupt or unresumable
     /// (0 for an in-memory store).
     pub fn state_quarantined(&self) -> u64 {
-        match &self.tier {
-            ArchiveTier::Memory { .. } => 0,
-            ArchiveTier::Disk { state, .. } => state.quarantined(),
-        }
+        self.tier.state.as_ref().map_or(0, StateDir::quarantined)
     }
 
     /// Archive writes the disk refused; the state fell back to memory
     /// (0 for an in-memory store).
     pub fn state_write_failures(&self) -> u64 {
-        match &self.tier {
-            ArchiveTier::Memory { .. } => 0,
-            ArchiveTier::Disk { state, .. } => state.write_failures(),
-        }
+        self.tier.state.as_ref().map_or(0, StateDir::write_failures)
     }
 
     /// Whether `tenant` currently holds a resident session.
@@ -470,9 +426,9 @@ impl SessionStore {
                     }
                     Err(e) => {
                         // Keep the bytes: the operator can still extract
-                        // or repair them; serving just fails typed. The
-                        // memory tier re-archives them; the disk tier
-                        // quarantines the file instead.
+                        // or repair them; serving just fails typed. An
+                        // on-disk file is quarantined; bytes without one
+                        // go back to the in-memory archive.
                         let len = bytes.len();
                         if self.tier.restore_failed(tenant, bytes) {
                             self.emit(Event {
@@ -552,10 +508,12 @@ impl SessionStore {
     /// shutdown — and flushes the durable tier, so a restart over the
     /// same state dir rehydrates each personalized tenant bit-exactly.
     /// Clean rehydrated sessions re-index their files; the rest suspend.
-    /// Returns how many evicted sessions carried personal state.
+    /// Returns how many personalized sessions it left in the state dir,
+    /// written or re-indexed; one whose write failed stays in memory and
+    /// is not counted.
     ///
     /// Meaningful for a persistent store; on an in-memory store it only
-    /// moves residents to the (equally volatile) archive.
+    /// moves residents to the (equally volatile) archive and returns 0.
     ///
     /// # Errors
     ///
@@ -567,7 +525,7 @@ impl SessionStore {
             let personalized =
                 self.resident.get(&tenant).is_some_and(|e| e.session.is_personalized());
             self.evict_entry(tick, tenant);
-            if personalized {
+            if personalized && self.tier.on_disk(tenant) {
                 persisted += 1;
             }
         }
@@ -584,10 +542,7 @@ impl SessionStore {
     ///
     /// Propagates [`StateDir::flush`] failures.
     pub fn flush(&mut self) -> Result<()> {
-        match &mut self.tier {
-            ArchiveTier::Memory { .. } => Ok(()),
-            ArchiveTier::Disk { state, .. } => state.flush(),
-        }
+        self.tier.state.as_mut().map_or(Ok(()), StateDir::flush)
     }
 
     /// Journals `event` when the engine carries a journal.
@@ -952,10 +907,7 @@ mod tests {
 
     /// Whether `tenant` is in the set the store's next flush fsyncs.
     fn awaits_flush(store: &SessionStore, tenant: u64) -> bool {
-        match &store.tier {
-            ArchiveTier::Disk { state, .. } => state.awaits_flush(tenant),
-            ArchiveTier::Memory { .. } => false,
-        }
+        store.tier.state.as_ref().is_some_and(|s| s.awaits_flush(tenant))
     }
 
     /// Inode of `path`: a rewrite renames a new one over it.
@@ -1137,6 +1089,31 @@ mod tests {
         let store = persistent_store(engine, &dir, 8, FlushPolicy::OnEvict);
         assert_eq!(store.state_recovered(), 1);
         assert!(store.has_archived(1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `drain()` counts only the sessions it leaves in the state dir: with
+    /// the directory gone, the personalized resident falls back to memory
+    /// and is not counted; once the directory is back, draining it again
+    /// writes its file and counts it.
+    #[test]
+    fn drain_counts_only_sessions_that_reach_the_state_dir() {
+        let (ds, engine) = fixture();
+        let dir = scratch_dir("drain_nowrite");
+        let mut store = persistent_store(engine, &dir, 8, FlushPolicy::Sync);
+        personalize(&mut store, 1, &stormy(ds));
+
+        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::write(&dir, b"disk gone").unwrap();
+        assert_eq!(store.drain().unwrap(), 0, "a session kept in memory was not drained to disk");
+        assert_eq!(store.state_write_failures(), 1);
+        assert!(store.archived_delta(1).is_some(), "the state stays in the memory overflow");
+
+        std::fs::remove_file(&dir).unwrap();
+        std::fs::create_dir(&dir).unwrap();
+        assert!(store.with_session(1, |s| s.is_personalized()).unwrap());
+        assert_eq!(store.drain().unwrap(), 1, "the retried write reaches the state dir");
+        assert!(dir.join("tenant-1.smore").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
