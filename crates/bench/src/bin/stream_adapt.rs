@@ -4,7 +4,8 @@
 //! shared quantized base (one `ServeEngine` session).
 //!
 //! Emits machine-readable JSON to `BENCH_stream.json` so the adaptation
-//! trajectory is tracked across PRs. Schema: scenario metadata plus
+//! trajectory is tracked across PRs. Schema: a `provenance` object (git
+//! revision, `nproc`, `SMORE_THREADS`, repetitions), scenario metadata plus
 //! `pre_enrolment_accuracy` / `post_enrolment_accuracy` on the same
 //! held-out evaluation tail, `detection_latency_windows` (windows between
 //! drift onset and the detector firing) and per-event
@@ -16,7 +17,9 @@
 use std::time::Instant;
 
 use smore::{Smore, SmoreConfig};
-use smore_bench::{latency_percentiles, pct, predictor_accuracy, print_table, secs};
+use smore_bench::{
+    latency_percentiles, pct, predictor_accuracy, print_table, secs, write_bench_json,
+};
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_data::split;
 use smore_data::stream::{concept_drift_stream, DriftSegment, StreamConfig};
@@ -72,11 +75,11 @@ fn write_json(
             )
         })
         .collect();
-    let json = format!(
-        "{{\n  \"scenario\": \"new-user-gain-1.5\",\n  \"dim\": {},\n  \"seed\": {},\n  \
+    let fields = format!(
+        "  \"scenario\": \"new-user-gain-1.5\",\n  \"dim\": {},\n  \"seed\": {},\n  \
          \"pre_enrolment_accuracy\": {:.4},\n  \"post_enrolment_accuracy\": {:.4},\n  \
          \"accuracy_gain_points\": {:.2},\n  \"detection_latency_windows\": {},\n  \
-         \"serving_p50_ms\": {:.4},\n  \"serving_p95_ms\": {:.4},\n  \"events\": [\n{}\n  ]\n}}\n",
+         \"serving_p50_ms\": {:.4},\n  \"serving_p95_ms\": {:.4},\n  \"events\": [\n{}\n  ]",
         args.dim,
         args.seed,
         report.pre,
@@ -87,7 +90,7 @@ fn write_json(
         report.serving_p95_ms,
         event_rows.join(",\n")
     );
-    std::fs::write(path, json)
+    write_bench_json(path, &fields)
 }
 
 fn main() {

@@ -7,7 +7,9 @@
 //! load plus first prediction.
 //!
 //! Emits machine-readable JSON to `BENCH_throughput.json` so the perf
-//! trajectory is tracked across PRs. Schema: a list of entries with `op`
+//! trajectory is tracked across PRs. Schema: a `provenance` object (git
+//! revision, `nproc`, `SMORE_THREADS`, repetitions), then a list of
+//! entries with `op`
 //! (`predict` end-to-end window prediction, `encode` raw window encoding,
 //! `similarity_d8192` raw kernel, `cold_start` artifact load + first
 //! prediction), `backend` (`dense` | `packed` | `packed_reference`),
@@ -35,7 +37,8 @@ use std::time::Instant;
 
 use smore::{Predictor, QuantizedSmore, ServeScratch, Smore, SmoreConfig};
 use smore_bench::{
-    latency_percentiles, make_smore, pct, predictor_accuracy, print_table, BenchProfile,
+    latency_percentiles, make_smore, pct, predictor_accuracy, print_table, write_bench_json,
+    BenchProfile,
 };
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_data::presets::usc_had;
@@ -346,15 +349,15 @@ fn tenant_state_report(profile: &BenchProfile) -> TenantStateReport {
 }
 
 fn write_tenant_state_json(path: &str, r: &TenantStateReport) -> std::io::Result<()> {
-    let json = format!(
-        "{{\n  \"dim\": {},\n  \"base_resident_bytes\": {},\n  \
+    let fields = format!(
+        "  \"dim\": {},\n  \"base_resident_bytes\": {},\n  \
          \"full_clone_resident_bytes\": {},\n  \"delta_resident_bytes\": {},\n  \
          \"delta_artifact_bytes\": {},\n  \"delta_domains\": {},\n  \
          \"clone_over_delta_ratio\": {:.2},\n  \"hydrate_per_sec\": {:.2},\n  \
          \"hydrate_p50_ms\": {:.6},\n  \"hydrate_p95_ms\": {:.6},\n  \
          \"archive_write_p50_ms\": {:.6},\n  \"archive_fsync_p50_ms\": {:.6},\n  \
          \"recovery_scan_files\": {},\n  \"recovery_scan_ms\": {:.3},\n  \
-         \"fleet_1m_tenants_100k_personalized_gib\": {:.3}\n}}\n",
+         \"fleet_1m_tenants_100k_personalized_gib\": {:.3}",
         r.dim,
         r.base_resident_bytes,
         r.full_clone_resident_bytes(),
@@ -371,7 +374,7 @@ fn write_tenant_state_json(path: &str, r: &TenantStateReport) -> std::io::Result
         r.recovery_scan_ms,
         r.fleet_1m_gib(),
     );
-    std::fs::write(path, json)
+    write_bench_json(path, &fields)
 }
 
 /// Measures one encode backend over `windows`, cycling until `calls`
@@ -477,11 +480,11 @@ fn write_json(path: &str, preset: &str, dim: usize, entries: &[Entry]) -> std::i
             )
         })
         .collect();
-    let json = format!(
-        "{{\n  \"preset\": \"{preset}\",\n  \"dim\": {dim},\n  \"entries\": [\n{}\n  ]\n}}\n",
+    let fields = format!(
+        "  \"preset\": \"{preset}\",\n  \"dim\": {dim},\n  \"entries\": [\n{}\n  ]",
         rows.join(",\n")
     );
-    std::fs::write(path, json)
+    write_bench_json(path, &fields)
 }
 
 fn main() {

@@ -243,6 +243,52 @@ pub fn secs(x: f64) -> String {
     }
 }
 
+/// Runs `git` with whitespace-separated `args` in the working directory;
+/// `None` when it fails or is absent.
+fn git(args: &str) -> Option<String> {
+    let out = std::process::Command::new("git").args(args.split_whitespace()).output().ok()?;
+    out.status.success().then(|| String::from_utf8_lossy(&out.stdout).trim().to_string())
+}
+
+/// Where a bench number came from, as one JSON object: the git revision
+/// of the working directory (suffixed `-dirty` when the built sources
+/// differ from it, `unknown` outside a checkout), the host's available
+/// parallelism, the `SMORE_THREADS` override (`null` when unset) and the
+/// number of bench runs the file summarises, which is one for every
+/// committed file.
+fn provenance_json() -> String {
+    let built =
+        "status --porcelain --untracked-files=no -- crates src vendor Cargo.toml Cargo.lock";
+    let revision = match git("rev-parse --short=12 HEAD") {
+        Some(rev) => match git(built) {
+            Some(changes) if changes.is_empty() => rev,
+            _ => format!("{rev}-dirty"),
+        },
+        None => "unknown".into(),
+    };
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    let threads = std::env::var("SMORE_THREADS")
+        .map_or_else(|_| "null".into(), |v| format!("\"{}\"", v.escape_default()));
+    format!(
+        "{{\"git_revision\": \"{revision}\", \"nproc\": {nproc}, \"smore_threads\": {threads}, \
+         \"repetitions\": 1}}"
+    )
+}
+
+/// Writes a committed `BENCH_*.json` file: a one-line `provenance` object
+/// (git revision, `nproc`, `SMORE_THREADS` and `repetitions`, the number
+/// of bench runs the file summarises: one), then `fields`, the object's
+/// remaining members, one per line, indented two spaces and without a
+/// trailing comma.
+///
+/// # Errors
+///
+/// Propagates the file write error.
+pub fn write_bench_json(path: &str, fields: &str) -> std::io::Result<()> {
+    let json = format!("{{\n  \"provenance\": {},\n{}\n}}\n", provenance_json(), fields);
+    std::fs::write(path, json)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,6 +327,16 @@ mod tests {
         assert_eq!(secs(0.0015), "1.5 ms");
         assert_eq!(secs(2.5), "2.50 s");
         assert_eq!(secs(200.0), "200 s");
+    }
+
+    #[test]
+    fn provenance_names_every_field_on_one_line() {
+        let line = provenance_json();
+        assert!(!line.contains('\n'), "{line}");
+        for key in ["git_revision", "nproc", "smore_threads"] {
+            assert!(line.contains(&format!("\"{key}\": ")), "{line}");
+        }
+        assert!(line.ends_with("\"repetitions\": 1}"), "{line}");
     }
 
     #[test]

@@ -102,6 +102,10 @@ impl ItemMemory {
 }
 
 /// Quantisation strategy for continuous signal values (paper §3.3).
+///
+/// Both modes pick, one dimension at a time, `H_max[d]` or `H_min[d]` with
+/// the same per-dimension thresholds; they differ only in the `α` the
+/// select runs at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Quantization {
     /// Paper-literal vector quantisation: the hypervector for a value sits
@@ -122,6 +126,13 @@ pub enum Quantization {
     /// level `i+1` is derived from level `i` by flipping a fixed fraction of
     /// positions toward `H_max`, giving gradually decaying similarity and a
     /// full-rank codebook. Used by the encoding-mode ablation.
+    ///
+    /// `α` snaps to the nearest level `l` of `L`, and level `l` takes
+    /// `H_max` on the `cut = ⌊l·dim/(L−1)⌋` dimensions of lowest threshold
+    /// and `H_min` on the rest. No codeword is stored: the select runs at
+    /// the threshold of the last dimension the level flips, which picks
+    /// exactly those `cut` dimensions while thresholds are distinct, that
+    /// is for `dim ≤ 2^23`.
     LevelFlip,
 }
 
@@ -129,7 +140,9 @@ pub enum Quantization {
 ///
 /// Maps a normalised value `α ∈ [0, 1]` to a hypervector whose similarity to
 /// the `H_min`/`H_max` anchors follows the spectrum the paper describes.
-/// Values outside `[0, 1]` are clamped.
+/// Values outside `[0, 1]` are clamped. The memory holds only the two
+/// anchors and one threshold per dimension; every codeword of either
+/// [`Quantization`] mode is a per-dimension select between the anchors.
 ///
 /// # Example
 ///
@@ -150,10 +163,12 @@ pub enum Quantization {
 pub struct LevelMemory {
     h_min: Hypervector,
     h_max: Hypervector,
-    levels: Vec<Hypervector>,
-    /// Per-dimension flip threshold `u_d ∈ (0, 1)` for `Interpolate`:
-    /// dimension `d` reads from `H_max` once `α ≥ u_d`.
+    /// Per-dimension flip threshold `u_d ∈ (0, 1)`: dimension `d` reads
+    /// from `H_max` once the select's `α ≥ u_d`. The dimension at rank `r`
+    /// of a seeded permutation has `u_d = (r + 0.5) / dim`.
     thresholds: Vec<f32>,
+    /// Codewords on the `LevelFlip` grid.
+    levels: usize,
     mode: Quantization,
     dim: usize,
 }
@@ -161,9 +176,10 @@ pub struct LevelMemory {
 impl LevelMemory {
     /// Creates a level memory of dimension `dim`.
     ///
-    /// `levels` controls the granularity of the [`Quantization::LevelFlip`]
-    /// codebook (and is ignored by [`Quantization::Interpolate`], which is
-    /// continuous).
+    /// `levels` is the number of [`Quantization::LevelFlip`] codewords, the
+    /// first `H_min` and the last `H_max`. [`Quantization::Interpolate`] is
+    /// continuous and ignores it. Neither mode stores a codeword, so the
+    /// memory costs two anchors and `dim` thresholds whatever `levels` is.
     ///
     /// # Errors
     ///
@@ -181,37 +197,22 @@ impl LevelMemory {
         let h_min = Hypervector::from_vec(init::bipolar_vec(&mut rng, dim));
         let h_max = Hypervector::from_vec(init::bipolar_vec(&mut rng, dim));
 
-        // Precompute the LevelFlip ladder: level 0 == H_min; each subsequent
-        // level flips a disjoint ~dim/(levels-1) slice of a random permutation
-        // of positions to the corresponding H_max values, so level L-1 == H_max.
+        // A random permutation ranks the dimensions: the one at rank r
+        // switches to H_max once α ≥ (r + 0.5) / dim, so Interpolate is the
+        // LevelFlip ladder's continuum limit (one level per dimension) and
+        // codes stay bipolar.
         let mut order: Vec<usize> = (0..dim).collect();
         // Fisher-Yates with the seeded RNG.
         for i in (1..dim).rev() {
             let j = rng.gen_range(0..=i);
             order.swap(i, j);
         }
-        let mut levels_vec = Vec::with_capacity(levels);
-        let mut current = h_min.clone();
-        levels_vec.push(current.clone());
-        for l in 1..levels {
-            let lo = (l - 1) * dim / (levels - 1);
-            let hi = l * dim / (levels - 1);
-            for &pos in &order[lo..hi] {
-                current.as_mut_slice()[pos] = h_max.as_slice()[pos];
-            }
-            levels_vec.push(current.clone());
-        }
-
-        // The same permutation defines the continuous thresholds: the
-        // dimension flipped at rank r switches to H_max once
-        // α ≥ (r + 0.5) / dim, so Interpolate is the ladder's continuum
-        // limit (one level per dimension) and codes stay bipolar.
         let mut thresholds = vec![0.0f32; dim];
         for (rank, &pos) in order.iter().enumerate() {
             thresholds[pos] = (rank as f32 + 0.5) / dim as f32;
         }
 
-        Ok(Self { h_min, h_max, levels: levels_vec, thresholds, mode, dim })
+        Ok(Self { h_min, h_max, thresholds, levels, mode, dim })
     }
 
     /// Dimensionality of the codebook.
@@ -224,9 +225,9 @@ impl LevelMemory {
         self.mode
     }
 
-    /// Number of discrete levels in the `LevelFlip` ladder.
+    /// Number of discrete levels on the `LevelFlip` grid.
     pub fn num_levels(&self) -> usize {
-        self.levels.len()
+        self.levels
     }
 
     /// The `H_min` anchor.
@@ -241,22 +242,9 @@ impl LevelMemory {
 
     /// Encodes a normalised value `alpha ∈ [0, 1]` (clamped) to a hypervector.
     pub fn encode(&self, alpha: f32) -> Hypervector {
-        let alpha = if alpha.is_finite() { alpha.clamp(0.0, 1.0) } else { 0.5 };
-        match self.mode {
-            Quantization::Interpolate => {
-                let mut out = Vec::with_capacity(self.dim);
-                for ((&lo, &hi), &thr) in
-                    self.h_min.as_slice().iter().zip(self.h_max.as_slice()).zip(&self.thresholds)
-                {
-                    out.push(if alpha >= thr { hi } else { lo });
-                }
-                Hypervector::from_vec(out)
-            }
-            Quantization::LevelFlip => {
-                let idx = (alpha * (self.levels.len() - 1) as f32).round() as usize;
-                self.levels[idx.min(self.levels.len() - 1)].clone()
-            }
-        }
+        let mut out = vec![0.0f32; self.dim];
+        self.encode_into(alpha, &mut out);
+        Hypervector::from_vec(out)
     }
 
     /// Writes the encoding of `alpha` into an existing buffer (no allocation).
@@ -266,44 +254,53 @@ impl LevelMemory {
     /// Panics if `out.len() != self.dim()`.
     pub fn encode_into(&self, alpha: f32, out: &mut [f32]) {
         assert_eq!(out.len(), self.dim, "encode_into: buffer dimension mismatch");
+        let alpha = self.select_alpha(alpha);
+        for (((o, &lo), &hi), &thr) in out
+            .iter_mut()
+            .zip(self.h_min.as_slice())
+            .zip(self.h_max.as_slice())
+            .zip(&self.thresholds)
+        {
+            *o = if alpha >= thr { hi } else { lo };
+        }
+    }
+
+    /// The `α` the per-dimension select runs at. `alpha` is clamped to
+    /// `[0, 1]`, and NaN or ±∞ reads as 0.5. `Interpolate` selects at that
+    /// value. `LevelFlip` rounds it to level `l` and selects at the
+    /// threshold of rank `cut − 1`, with `cut = ⌊l·dim/(levels−1)⌋`, or at
+    /// 0 when `cut` is 0: every threshold is above 0.
+    fn select_alpha(&self, alpha: f32) -> f32 {
         let alpha = if alpha.is_finite() { alpha.clamp(0.0, 1.0) } else { 0.5 };
         match self.mode {
-            Quantization::Interpolate => {
-                for (((o, &lo), &hi), &thr) in out
-                    .iter_mut()
-                    .zip(self.h_min.as_slice())
-                    .zip(self.h_max.as_slice())
-                    .zip(&self.thresholds)
-                {
-                    *o = if alpha >= thr { hi } else { lo };
-                }
-            }
+            Quantization::Interpolate => alpha,
             Quantization::LevelFlip => {
-                let idx = (alpha * (self.levels.len() - 1) as f32).round() as usize;
-                out.copy_from_slice(self.levels[idx.min(self.levels.len() - 1)].as_slice());
+                let steps = self.levels - 1;
+                let level = ((alpha * steps as f32).round() as usize).min(steps);
+                // u128: levels is not bounded by memory, so l·dim can
+                // exceed usize; the quotient is at most dim.
+                let cut = (level as u128 * self.dim as u128 / steps as u128) as usize;
+                match cut.checked_sub(1) {
+                    Some(rank) => (rank as f32 + 0.5) / self.dim as f32,
+                    None => 0.0,
+                }
             }
         }
     }
 
-    /// Regenerates the given dimensions of the anchors and ladder (DOMINO).
+    /// Regenerates the given dimensions of both anchors (DOMINO).
+    ///
+    /// The thresholds stay as they are, so every codeword of either mode
+    /// follows the new anchors: `encode(0.0)` is still `H_min` and
+    /// `encode(1.0)` still `H_max`.
     pub fn regenerate_dims(&mut self, dims: &[usize], seed: u64) {
         let mut rng = init::rng(seed);
         for &d in dims {
             if d >= self.dim {
                 continue;
             }
-            let new_min = if rng.gen::<bool>() { 1.0f32 } else { -1.0 };
-            let new_max = if rng.gen::<bool>() { 1.0f32 } else { -1.0 };
-            let old_min = self.h_min.as_slice()[d];
-            self.h_min.as_mut_slice()[d] = new_min;
-            self.h_max.as_mut_slice()[d] = new_max;
-            // Keep the ladder consistent: positions matching the old H_min
-            // value follow the new H_min; positions already flipped to H_max
-            // follow the new H_max.
-            for level in &mut self.levels {
-                let v = level.as_mut_slice();
-                v[d] = if v[d] == old_min { new_min } else { new_max };
-            }
+            self.h_min.as_mut_slice()[d] = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+            self.h_max.as_mut_slice()[d] = if rng.gen::<bool>() { 1.0 } else { -1.0 };
         }
     }
 }
@@ -476,6 +473,34 @@ mod tests {
         for i in 0..8 {
             let hv = m.encode(i as f32 / 7.0);
             assert!(hv.as_slice().iter().all(|&x| x == 1.0 || x == -1.0));
+        }
+    }
+
+    #[test]
+    fn levelflip_follows_anchors_regenerated_from_equal_values() {
+        let (dim, levels) = (64, 8);
+        let mut m = LevelMemory::new(dim, levels, Quantization::LevelFlip, 9).unwrap();
+        let d = (0..dim).find(|&d| m.h_min().as_slice()[d] == m.h_max().as_slice()[d]).unwrap();
+        // A seed whose redraw of dim d gives two different anchors.
+        let seed = (0..)
+            .find(|&s| {
+                let mut probe = m.clone();
+                probe.regenerate_dims(&[d], s);
+                probe.h_min().as_slice()[d] != probe.h_max().as_slice()[d]
+            })
+            .unwrap();
+        m.regenerate_dims(&[d], seed);
+        assert_eq!(&m.encode(0.0), m.h_min());
+        assert_eq!(&m.encode(1.0), m.h_max());
+        // Level l reads H_max exactly on the dims of threshold rank < cut.
+        let rank = |x: usize| m.thresholds.iter().filter(|&&t| t < m.thresholds[x]).count();
+        for l in 0..levels {
+            let cut = l * dim / (levels - 1);
+            let code = m.encode(l as f32 / (levels - 1) as f32);
+            for x in 0..dim {
+                let want = if rank(x) < cut { m.h_max() } else { m.h_min() };
+                assert_eq!(code.as_slice()[x], want.as_slice()[x], "level {l}, dim {x}");
+            }
         }
     }
 

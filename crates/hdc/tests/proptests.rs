@@ -1,7 +1,8 @@
 //! Property-based tests for the HDC substrate invariants (paper §3.1), and
 //! oracles for the fast paths: the classifier's blocked, norm-cached
-//! trainer and scorer against a per-class `vecops` reference, and the
-//! in-place batch encoder against `encode_window`.
+//! trainer and scorer against a per-class `vecops` reference, the
+//! in-place batch encoder against `encode_window`, and the level memory's
+//! one-select codebook against a stored `LevelFlip` ladder.
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -145,6 +146,165 @@ fn window(rng: &mut impl Rng, steps: usize, sensors: usize) -> Matrix {
     Matrix::from_fn(steps, sensors, |_, _| rng.gen_range(-2.0f32..2.0))
 }
 
+/// The level memory with its `LevelFlip` ladder stored: the same seeded
+/// draws as `LevelMemory::new` (two anchors, then a Fisher–Yates
+/// permutation), one codeword per level where level `l` flips the next
+/// slice of the permutation to `H_max`, and the per-dimension threshold
+/// select for `Interpolate`.
+struct LadderReference {
+    h_min: Vec<f32>,
+    h_max: Vec<f32>,
+    order: Vec<usize>,
+    ladder: Vec<Vec<f32>>,
+    thresholds: Vec<f32>,
+    mode: Quantization,
+}
+
+impl LadderReference {
+    fn new(dim: usize, levels: usize, mode: Quantization, seed: u64) -> Self {
+        let mut rng = init::rng(seed);
+        let h_min = init::bipolar_vec(&mut rng, dim);
+        let h_max = init::bipolar_vec(&mut rng, dim);
+        let mut order: Vec<usize> = (0..dim).collect();
+        for i in (1..dim).rev() {
+            let j = rng.gen_range(0..=i);
+            order.swap(i, j);
+        }
+        let mut thresholds = vec![0.0f32; dim];
+        for (rank, &pos) in order.iter().enumerate() {
+            thresholds[pos] = (rank as f32 + 0.5) / dim as f32;
+        }
+        let mut reference =
+            Self { h_min, h_max, order, ladder: vec![Vec::new(); levels], thresholds, mode };
+        reference.build_ladder();
+        reference
+    }
+
+    /// Level 0 is `H_min`; each next level flips a disjoint
+    /// `~dim/(levels−1)` slice of the permutation to `H_max`.
+    fn build_ladder(&mut self) {
+        let (dim, levels) = (self.h_min.len(), self.ladder.len());
+        let mut current = self.h_min.clone();
+        self.ladder[0] = current.clone();
+        for l in 1..levels {
+            for &pos in &self.order[(l - 1) * dim / (levels - 1)..l * dim / (levels - 1)] {
+                current[pos] = self.h_max[pos];
+            }
+            self.ladder[l] = current.clone();
+        }
+    }
+
+    fn encode(&self, alpha: f32) -> Vec<f32> {
+        let alpha = if alpha.is_finite() { alpha.clamp(0.0, 1.0) } else { 0.5 };
+        match self.mode {
+            Quantization::Interpolate => {
+                let mut out = Vec::with_capacity(self.h_min.len());
+                for ((&lo, &hi), &thr) in self.h_min.iter().zip(&self.h_max).zip(&self.thresholds) {
+                    out.push(if alpha >= thr { hi } else { lo });
+                }
+                out
+            }
+            Quantization::LevelFlip => {
+                let idx = (alpha * (self.ladder.len() - 1) as f32).round() as usize;
+                self.ladder[idx.min(self.ladder.len() - 1)].clone()
+            }
+        }
+    }
+
+    /// Redraws the listed anchor dims with `LevelMemory::regenerate_dims`'s
+    /// draws, then rebuilds the ladder from the new anchors: the codebook
+    /// a regeneration should leave.
+    fn regenerate_dims(&mut self, dims: &[usize], seed: u64) {
+        let mut rng = init::rng(seed);
+        for &d in dims {
+            if d >= self.h_min.len() {
+                continue;
+            }
+            self.h_min[d] = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+            self.h_max[d] = if rng.gen::<bool>() { 1.0 } else { -1.0 };
+        }
+        self.build_ladder();
+    }
+}
+
+fn f32_bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Alphas on, between and beyond the level grid: every grid point and the
+/// quarter points after it (at most ~130 grid steps, both ends included),
+/// random values in and around `[0, 1]`, and the clamped specials.
+fn codebook_alphas(levels: usize, seed: u64) -> Vec<f32> {
+    let steps = levels - 1;
+    let stride = steps.div_ceil(128).max(1);
+    let mut alphas = Vec::new();
+    for l in (0..steps).step_by(stride).chain([steps]) {
+        for frac in [0.0f32, 0.25, 0.5, 0.75] {
+            alphas.push((l as f32 + frac) / steps as f32);
+        }
+    }
+    let mut rng = init::rng(seed);
+    alphas.extend((0..64).map(|_| rng.gen_range(-0.25f32..1.25)));
+    alphas.extend([
+        f32::NAN,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        -1.0,
+        2.0,
+        -0.0,
+        f32::MIN_POSITIVE,
+        1.0 - f32::EPSILON,
+    ]);
+    alphas
+}
+
+/// `encode` and `encode_into` of both modes against the stored ladder, bit
+/// for bit, before and after regenerating every third dimension.
+fn check_codebook(dim: usize, levels: usize, seed: u64) -> Result<(), TestCaseError> {
+    let alphas = codebook_alphas(levels, seed ^ 0xA1FA);
+    let dims: Vec<usize> = (0..dim).step_by(3).chain([dim + 5]).collect();
+    for mode in [Quantization::Interpolate, Quantization::LevelFlip] {
+        let mut memory = LevelMemory::new(dim, levels, mode, seed).unwrap();
+        let mut reference = LadderReference::new(dim, levels, mode, seed);
+        prop_assert_eq!(memory.num_levels(), levels);
+        let mut out = vec![0.0f32; dim];
+        for regenerated in [false, true] {
+            if regenerated {
+                memory.regenerate_dims(&dims, seed ^ 0xD0);
+                reference.regenerate_dims(&dims, seed ^ 0xD0);
+                prop_assert_eq!(f32_bits(memory.h_min().as_slice()), f32_bits(&reference.h_min));
+                prop_assert_eq!(f32_bits(memory.h_max().as_slice()), f32_bits(&reference.h_max));
+            }
+            for &alpha in &alphas {
+                let want = f32_bits(&reference.encode(alpha));
+                let got = f32_bits(memory.encode(alpha).as_slice());
+                prop_assert!(
+                    got == want,
+                    "{:?} encode({}) differs: dim {}, levels {}, seed {}, regenerated {}",
+                    mode,
+                    alpha,
+                    dim,
+                    levels,
+                    seed,
+                    regenerated
+                );
+                memory.encode_into(alpha, &mut out);
+                prop_assert!(
+                    f32_bits(&out) == want,
+                    "{:?} encode_into({}) differs: dim {}, levels {}, seed {}, regenerated {}",
+                    mode,
+                    alpha,
+                    dim,
+                    levels,
+                    seed,
+                    regenerated
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #[test]
     fn permutation_is_a_bijection(seed in any::<u64>(), k in 0usize..50) {
@@ -221,6 +381,15 @@ proptest! {
         for w in sims.windows(2) {
             prop_assert!(w[1] <= w[0] + 0.08, "similarity to H_min should decay: {:?}", sims);
         }
+    }
+
+    #[test]
+    fn level_memory_matches_the_stored_ladder(
+        seed in any::<u64>(),
+        dim in 1usize..300,
+        levels in 2usize..70,
+    ) {
+        check_codebook(dim, levels, seed)?;
     }
 
     #[test]
@@ -377,5 +546,16 @@ proptest! {
 fn fit_matches_the_vecops_reference_at_d_4096() {
     for seeded in [false, true] {
         check_trainer(41, 4096, 6, 24, 0.05, 10, seeded).unwrap();
+    }
+}
+
+/// The codebook oracle at the fleet's dimension and default level count,
+/// and with more levels than dimensions.
+#[test]
+fn level_memory_matches_the_stored_ladder_at_d_4096_and_dense_grids() {
+    for seed in [3, 11, 0xC0DE] {
+        check_codebook(4096, 64, seed).unwrap();
+        check_codebook(7, 50, seed).unwrap();
+        check_codebook(100, 5000, seed).unwrap();
     }
 }

@@ -32,7 +32,10 @@
 //! `.smore` artifact and [`ServeEngine::resume_session`] rebuilds the
 //! session from it — tag counter, step counter and enrolment history
 //! included — which is what [`SessionStore`](crate::SessionStore) builds
-//! its LRU evict/rehydrate layer on.
+//! its LRU evict/rehydrate layer on. A resumed session holds its delta
+//! and scratch, not the dense models of its enrolled domains: only a later
+//! enrolment seeds from those, and that enrolment rebuilds them from the
+//! delta, so a rehydrated tenant that only predicts never pays for them.
 //!
 //! Sessions are `Send`, so a server hands one to each connection/actor;
 //! the engine itself is cheap to share behind an `Arc`.
@@ -299,11 +302,17 @@ impl ServeEngine {
 
     /// Rebuilds a suspended tenant session from the `DeltaV1` artifact
     /// bytes [`TenantSession::suspend`] produced: the personal delta is
-    /// chained back onto this engine's base, the tag/step counters and
-    /// enrolment history resume where eviction paused them, and repeat
-    /// enrolments keep seeding from the tenant's earlier domains (rebuilt
-    /// from their stored residual planes). Counts toward
+    /// chained back onto this engine's base, and the tag/step counters and
+    /// enrolment history resume where eviction paused them. Counts toward
     /// [`tenants_created`](Self::tenants_created) like any session.
+    ///
+    /// The session holds no dense models: serving reads only the delta.
+    /// Its next enrolment rebuilds them from the delta's residual planes
+    /// ([`SnapshotDelta::dense_models`]), so repeat enrolments keep seeding
+    /// from the tenant's earlier domains. That rebuild cannot fail on a
+    /// delta this call accepted: the `DeltaV1` decoder gives every domain
+    /// `num_classes` classes of `dim` bits, and [`SnapshotDelta::matches_base`]
+    /// pins both to this engine's base.
     ///
     /// # Errors
     ///
@@ -313,9 +322,6 @@ impl ServeEngine {
     pub fn resume_session(&self, tenant: u64, bytes: &[u8]) -> Result<TenantSession> {
         let delta = SnapshotDelta::from_artifact_bytes(bytes)?;
         delta.matches_base(&self.base)?;
-        let dense_config = self.dense.config();
-        let personal_models =
-            delta.dense_models(dense_config.learning_rate, dense_config.epochs)?;
         let events: Vec<AdaptationEvent> = delta
             .meta
             .records
@@ -340,7 +346,7 @@ impl ServeEngine {
             dense: Arc::clone(&self.dense),
             base: Arc::clone(&self.base),
             delta: Some(delta),
-            personal_models,
+            personal_models: Vec::new(),
             scratch: ServeScratch::new(),
             state: AdaptationState::resume(
                 self.config.clone(),
@@ -380,7 +386,10 @@ pub struct TenantSession {
     /// Personal overlay: `None` until the first enrolment.
     delta: Option<SnapshotDelta>,
     /// Dense models of this tenant's enrolled domains — kept so repeat
-    /// enrolments seed from base *and* personal models alike.
+    /// enrolments seed from base *and* personal models alike. An
+    /// enrolment in this process pushes its trained model. A resumed
+    /// session starts with none, and its first enrolment rebuilds them
+    /// from the delta (see [`ServeEngine::resume_session`]).
     personal_models: Vec<HdcClassifier>,
     scratch: ServeScratch,
     state: AdaptationState,
@@ -564,6 +573,15 @@ impl TenantSession {
     /// planes, descriptor and Gram growth; the base is never copied.
     fn adapt(&mut self, plan: EnrollmentPlan) -> Result<AdaptationEvent> {
         let t0 = Instant::now();
+        // A resumed session's first enrolment rebuilds the dense models of
+        // its earlier domains from the delta. A failed rebuild fails this
+        // enrolment and leaves the session serving what it served.
+        if self.personal_models.is_empty() {
+            if let Some(delta) = &self.delta {
+                let config = self.dense.config();
+                self.personal_models = delta.dense_models(config.learning_rate, config.epochs)?;
+            }
+        }
         let prep = self.dense.prepare_domain(&plan.windows, &plan.labels, &self.personal_models)?;
         let enroll_seconds = t0.elapsed().as_secs_f64();
 
@@ -982,6 +1000,85 @@ mod tests {
         other_model.fit_indices(&ds, &train).unwrap();
         let other = ServeEngine::new(other_model, engine_config()).unwrap();
         assert!(matches!(other.resume_session(42, &bytes), Err(SmoreError::InvalidConfig { .. })));
+    }
+
+    /// FNV-1a over the little-endian bytes of `words`.
+    fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for word in words {
+            for byte in word.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        hash
+    }
+
+    /// A tenant that enrols, suspends, resumes and enrols again. The two
+    /// constants are FNV-1a hashes taken at commit e8fda1f, where resuming
+    /// rebuilt the dense models eagerly, so rebuilding them at the next
+    /// enrolment must reproduce its scores and records bit for bit.
+    #[test]
+    fn reenrolment_after_rehydration_is_pinned() {
+        let ds = shifted_dataset(7);
+        let (train, _) = split::lodo(&ds, 3).unwrap();
+        let engine = calibrated_engine(&ds, &train);
+        let mut tenant = engine.session_for(9);
+        let first = concept_drift_stream(
+            &ds,
+            &StreamConfig {
+                segments: vec![DriftSegment::plain(0, 100), drifted_segment(140)],
+                seed: 7 ^ 0xAA,
+            },
+        )
+        .unwrap();
+        for item in &first {
+            tenant.ingest_labelled(&item.window, item.label).unwrap();
+        }
+        assert!(tenant.is_personalized());
+        let bytes = tenant.suspend().unwrap();
+
+        let mut resumed = engine.resume_session(9, &bytes).unwrap();
+        assert!(resumed.personal_models.is_empty(), "resume rebuilds no dense model");
+        resumed.predict_window(ds.window(0)).unwrap();
+        assert!(resumed.personal_models.is_empty(), "a predict rebuilds no dense model");
+
+        // A second, different drift: another source domain, a harsher
+        // gain and a dead channel.
+        let second = concept_drift_stream(
+            &ds,
+            &StreamConfig {
+                segments: vec![DriftSegment {
+                    domain: 2,
+                    windows: 140,
+                    gain_ramp: Some((2.4, 2.4)),
+                    dropout_channel: Some(1),
+                }],
+                seed: 99,
+            },
+        )
+        .unwrap();
+        let enrolled = resumed.events().len();
+        for item in &second {
+            resumed.ingest_labelled(&item.window, item.label).unwrap();
+        }
+        assert!(resumed.events().len() > enrolled, "the second drift re-enrols");
+        let delta = resumed.delta().unwrap();
+        assert_eq!(resumed.personal_models.len(), delta.num_domains());
+
+        let records = fnv1a(delta.meta.records.iter().flat_map(|r| {
+            [r.tag as u64, r.step as u64, r.enrolled_windows as u64, r.oracle_labelled as u64]
+        }));
+        let windows =
+            second.iter().take(32).map(|i| &i.window).chain((0..16).map(|i| ds.window(i)));
+        let mut scratch = ServeScratch::new();
+        let mut scores = Vec::new();
+        let mut bits = Vec::new();
+        for window in windows {
+            resumed.serving_model().score_into(window, &mut scratch, &mut scores).unwrap();
+            bits.extend(scores.iter().map(|s| u64::from(s.to_bits())));
+        }
+        assert_eq!(records, 0x58d7_9677_9c08_4033, "enrolment records moved");
+        assert_eq!(fnv1a(bits), 0xb0b9_fdeb_26a9_a49d, "re-enrolled scores moved");
     }
 
     #[test]
