@@ -3,7 +3,7 @@
 //! prediction and a CNN forward pass.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use smore::{Smore, SmoreConfig};
+use smore::{Predictor, Smore, SmoreConfig};
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_hdc::model::{HdcClassifier, HdcClassifierConfig};
 use smore_nn::layer::{Conv1d, Dense, GlobalAvgPool1d, Relu};

@@ -4,7 +4,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use smore::descriptor::DomainDescriptors;
-use smore::{Smore, SmoreConfig};
+use smore::{Predictor, Smore, SmoreConfig};
 use smore_data::split;
 use smore_hdc::model::{HdcClassifier, HdcClassifierConfig};
 use smore_nn::layer::{Conv1d, Dense, GlobalAvgPool1d, Relu};

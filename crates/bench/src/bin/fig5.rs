@@ -11,6 +11,7 @@
 
 #![forbid(unsafe_code)]
 
+use smore::Predictor;
 use smore_bench::{make_smore, pct, print_table, BenchProfile};
 use smore_data::{presets, split};
 

@@ -30,10 +30,14 @@
 //! section_id u32 | payload_crc32 u32 | payload_len u64 | payload bytes
 //! ```
 //!
-//! Per-section CRC-32 (IEEE) catches bit rot and truncation before any
-//! payload is decoded; every length is bounds-checked against the buffer
-//! before allocation, so corrupt bytes produce
-//! [`SmoreError::CorruptArtifact`] — never a panic or an absurd
+//! Counts and lengths are `u64`. Every section payload — and the section
+//! table itself — is written with [`WireWriter`] and read with a
+//! [`WireReader`] labelled with the section's name, the same codec the
+//! network protocol frames with ([`crate::wire`]). Per-section CRC-32
+//! (IEEE) catches bit rot and truncation before any payload is decoded;
+//! every length and count is bounds-checked against the bytes present
+//! before allocation, with checked arithmetic, so corrupt or crafted bytes
+//! produce [`SmoreError::CorruptArtifact`] — never a panic or an absurd
 //! allocation. Readers reject unknown section ids and unknown format
 //! versions outright (forward compatibility by refusal: a file written by
 //! a newer writer is reported as such, not misparsed), and a trailing-byte
@@ -54,8 +58,10 @@ use smore_tensor::Matrix;
 
 use crate::centering::Centerer;
 use crate::config::{DomainInit, RangeMode, SmoreConfig};
+use crate::delta::{DeltaDomain, DeltaEnrollmentRecord, DeltaMeta, SnapshotDelta};
 use crate::descriptor::DomainDescriptors;
 use crate::smore_model::{ChannelStats, Fitted, Smore};
+use crate::wire::{crc32, WireReader, WireResult, WireWriter};
 use crate::{QuantizedSmore, Result, SmoreError};
 
 /// Magic bytes opening every `.smore` artifact.
@@ -144,10 +150,6 @@ fn section_name(id: u32) -> &'static str {
     }
 }
 
-// CRC-32 now lives in the shared wire module so the `smore_serve`
-// network protocol frames and this container checksum identically.
-use crate::wire::crc32;
-
 /// Sniffs the header of artifact bytes: magic, version and kind — without
 /// decoding any section. Used to route a file to the right loader (e.g.
 /// `smore_stream::ServeEngine::from_artifact`) and by tooling.
@@ -184,179 +186,25 @@ pub fn kind_of(bytes: &[u8]) -> Result<ArtifactKind> {
 }
 
 // ---------------------------------------------------------------------------
-// Payload writer / reader primitives
-// ---------------------------------------------------------------------------
-
-/// Little-endian payload builder for one section.
-#[derive(Default)]
-struct Payload {
-    bytes: Vec<u8>,
-}
-
-impl Payload {
-    fn u8(&mut self, v: u8) {
-        self.bytes.push(v);
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn len_of(&mut self, v: usize) {
-        self.u64(v as u64);
-    }
-
-    fn f32(&mut self, v: f32) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
-    }
-
-    fn f32s(&mut self, vs: &[f32]) {
-        for &v in vs {
-            self.f32(v);
-        }
-    }
-
-    fn words(&mut self, ws: &[u64]) {
-        for &w in ws {
-            self.u64(w);
-        }
-    }
-}
-
-/// Bounds-checked little-endian reader over one section's payload.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    section: &'static str,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8], section: &'static str) -> Self {
-        Self { bytes, pos: 0, section }
-    }
-
-    fn corrupt(&self, reason: impl Into<String>) -> SmoreError {
-        SmoreError::corrupt(self.section, reason)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| self.corrupt(format!("payload truncated at byte {}", self.pos)))?;
-        let out = self
-            .bytes
-            .get(self.pos..end)
-            .ok_or_else(|| self.corrupt(format!("payload truncated at byte {}", self.pos)))?;
-        self.pos = end;
-        Ok(out)
-    }
-
-    /// Takes the next `N` bytes as a fixed-size array — the panic-free
-    /// backbone of the integer readers.
-    fn take_array<const N: usize>(&mut self) -> Result<[u8; N]> {
-        let rest = self.bytes.get(self.pos..).unwrap_or_default();
-        let Some((chunk, _)) = rest.split_first_chunk::<N>() else {
-            return Err(self.corrupt(format!("payload truncated at byte {}", self.pos)));
-        };
-        self.pos += N;
-        Ok(*chunk)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        let [byte] = self.take_array()?;
-        Ok(byte)
-    }
-
-    fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take_array()?))
-    }
-
-    /// Reads a u64 count/length and checks it fits in `usize`.
-    fn len(&mut self, what: &str) -> Result<usize> {
-        let v = self.u64()?;
-        usize::try_from(v).map_err(|_| self.corrupt(format!("{what} count {v} overflows usize")))
-    }
-
-    /// Reads an item count and rejects it unless `count ×
-    /// min_bytes_per_item` still fits in the unread payload — so a
-    /// crafted count can never size an allocation beyond the artifact's
-    /// own byte length (a valid CRC is no protection: whoever writes the
-    /// file writes the checksum too).
-    fn count(&mut self, what: &str, min_bytes_per_item: usize) -> Result<usize> {
-        let n = self.len(what)?;
-        let remaining = self.bytes.len() - self.pos;
-        let need = n.checked_mul(min_bytes_per_item.max(1));
-        if need.is_none_or(|need| need > remaining) {
-            return Err(
-                self.corrupt(format!("{what} count {n} exceeds the {remaining}-byte payload"))
-            );
-        }
-        Ok(n)
-    }
-
-    fn f32(&mut self) -> Result<f32> {
-        Ok(f32::from_le_bytes(self.take_array()?))
-    }
-
-    /// Reads `n` f32 values; the byte bound is checked *before* the
-    /// allocation, so corrupt counts cannot trigger huge allocations.
-    fn f32s(&mut self, n: usize) -> Result<Vec<f32>> {
-        let mut raw =
-            self.take(n.checked_mul(4).ok_or_else(|| self.corrupt("f32 run length overflows"))?)?;
-        let mut out = Vec::with_capacity(n);
-        while let Some((chunk, rest)) = raw.split_first_chunk::<4>() {
-            out.push(f32::from_le_bytes(*chunk));
-            raw = rest;
-        }
-        Ok(out)
-    }
-
-    /// Reads `n` u64 storage words (bounds-checked like [`f32s`](Self::f32s)).
-    fn words(&mut self, n: usize) -> Result<Vec<u64>> {
-        let mut raw =
-            self.take(n.checked_mul(8).ok_or_else(|| self.corrupt("word run length overflows"))?)?;
-        let mut out = Vec::with_capacity(n);
-        while let Some((chunk, rest)) = raw.split_first_chunk::<8>() {
-            out.push(u64::from_le_bytes(*chunk));
-            raw = rest;
-        }
-        Ok(out)
-    }
-
-    /// Requires the payload to be fully consumed.
-    fn finish(self) -> Result<()> {
-        if self.pos != self.bytes.len() {
-            return Err(self.corrupt(format!(
-                "{} unread trailing bytes in payload",
-                self.bytes.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Container
 // ---------------------------------------------------------------------------
 
 /// Assembles the header + section table around the given payloads.
 fn write_container(kind: ArtifactKind, sections: &[(u32, Vec<u8>)]) -> Vec<u8> {
     let body: usize = sections.iter().map(|(_, p)| 16 + p.len()).sum();
-    let mut out = Vec::with_capacity(16 + body);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-    out.push(kind.to_byte());
-    out.push(0); // reserved
-    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    let mut out = WireWriter::with_capacity(HEADER_LEN + body);
+    out.bytes(&MAGIC);
+    out.u16(FORMAT_VERSION);
+    out.u8(kind.to_byte());
+    out.u8(0); // reserved
+    out.u32(sections.len() as u32);
     for (id, payload) in sections {
-        out.extend_from_slice(&id.to_le_bytes());
-        out.extend_from_slice(&crc32(payload).to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(payload);
+        out.u32(*id);
+        out.u32(crc32(payload));
+        out.u64(payload.len() as u64);
+        out.bytes(payload);
     }
-    out
+    out.into_bytes()
 }
 
 /// A parsed section: `(id, payload)`.
@@ -378,32 +226,29 @@ fn pairs(flat: &[f32]) -> Vec<(f32, f32)> {
 /// CRC, duplicate ids and trailing garbage. Returns `(kind, sections)`.
 fn parse_container(bytes: &[u8]) -> Result<(ArtifactKind, Vec<Section<'_>>)> {
     let kind = kind_of(bytes)?;
-    // kind_of validated the 16-byte header, so the chunk always exists.
-    let section_count =
-        bytes.get(12..16).and_then(|raw| raw.try_into().ok()).map_or(0, u32::from_le_bytes)
-            as usize;
-    let mut sections: Vec<(u32, &[u8])> = Vec::with_capacity(section_count.min(64));
-    let mut pos = 16usize;
+    let mut table = WireReader::new(bytes, "section_table");
+    // kind_of validated magic, version, kind and the reserved byte.
+    table.take(HEADER_LEN - 4)?;
+    let section_count = table.u32()? as usize;
+    let mut sections: Vec<Section<'_>> = Vec::with_capacity(section_count.min(64));
     for i in 0..section_count {
-        let Some(&[i0, i1, i2, i3, c0, c1, c2, c3, l0, l1, l2, l3, l4, l5, l6, l7]) =
-            bytes.get(pos..pos + 16)
-        else {
-            return Err(SmoreError::corrupt(
+        let truncated = |_| {
+            SmoreError::corrupt(
                 "section_table",
                 format!("truncated at section {i} of {section_count}"),
-            ));
+            )
         };
-        let id = u32::from_le_bytes([i0, i1, i2, i3]);
-        let crc = u32::from_le_bytes([c0, c1, c2, c3]);
-        let len = u64::from_le_bytes([l0, l1, l2, l3, l4, l5, l6, l7]);
+        let id = table.u32().map_err(truncated)?;
+        let crc = table.u32().map_err(truncated)?;
+        let len = table.u64().map_err(truncated)?;
         let len = usize::try_from(len).map_err(|_| {
             SmoreError::corrupt(section_name(id), format!("section length {len} overflows usize"))
         })?;
-        pos += 16;
-        let payload = bytes.get(pos..pos + len).ok_or_else(|| {
+        let remain = table.remaining();
+        let payload = table.take(len).map_err(|_| {
             SmoreError::corrupt(
                 section_name(id),
-                format!("payload of {len} bytes truncated ({} remain)", bytes.len() - pos),
+                format!("payload of {len} bytes truncated ({remain} remain)"),
             )
         })?;
         if crc32(payload) != crc {
@@ -413,30 +258,30 @@ fn parse_container(bytes: &[u8]) -> Result<(ArtifactKind, Vec<Section<'_>>)> {
             return Err(SmoreError::corrupt(section_name(id), "duplicate section"));
         }
         sections.push((id, payload));
-        pos += len;
     }
-    if pos != bytes.len() {
+    if table.remaining() != 0 {
         return Err(SmoreError::corrupt(
             "container",
-            format!("{} trailing bytes after the last section", bytes.len() - pos),
+            format!("{} trailing bytes after the last section", table.remaining()),
         ));
     }
     Ok((kind, sections))
 }
 
 /// Looks up a required section, rejecting the artifact when it is absent.
-fn require<'a>(sections: &[(u32, &'a [u8])], id: u32) -> Result<Cursor<'a>> {
+/// The reader's decode errors name the section.
+fn require<'a>(sections: &[Section<'a>], id: u32) -> Result<WireReader<'a>> {
     sections
         .iter()
         .find(|&&(sid, _)| sid == id)
-        .map(|&(_, payload)| Cursor::new(payload, section_name(id)))
+        .map(|&(_, payload)| WireReader::new(payload, section_name(id)))
         .ok_or_else(|| SmoreError::corrupt(section_name(id), "required section missing"))
 }
 
 /// Rejects any section id outside `allowed` — the forward-compatibility
 /// refusal: a file carrying sections this build does not understand was
 /// written by a different (likely newer) writer and must not be misparsed.
-fn reject_unknown(sections: &[(u32, &[u8])], allowed: &[u32]) -> Result<()> {
+fn reject_unknown(sections: &[Section<'_>], allowed: &[u32]) -> Result<()> {
     for &(id, _) in sections {
         if !allowed.contains(&id) {
             return Err(SmoreError::corrupt(
@@ -453,14 +298,18 @@ fn reject_unknown(sections: &[(u32, &[u8])], allowed: &[u32]) -> Result<()> {
 // ---------------------------------------------------------------------------
 
 fn encode_config(config: &SmoreConfig) -> Vec<u8> {
-    let mut p = Payload::default();
-    p.len_of(config.dim);
-    p.len_of(config.channels);
-    p.len_of(config.num_classes);
-    p.len_of(config.ngram);
-    p.len_of(config.levels);
-    p.len_of(config.epochs);
-    p.len_of(config.threads);
+    let mut p = WireWriter::new();
+    for v in [
+        config.dim,
+        config.channels,
+        config.num_classes,
+        config.ngram,
+        config.levels,
+        config.epochs,
+        config.threads,
+    ] {
+        p.u64(v as u64);
+    }
     p.u64(config.seed);
     p.f32(config.delta_star);
     p.f32(config.learning_rate);
@@ -480,17 +329,13 @@ fn encode_config(config: &SmoreConfig) -> Vec<u8> {
         RangeMode::PerWindow => p.u8(1),
         RangeMode::Fixed(ranges) => {
             p.u8(2);
-            p.len_of(ranges.len());
-            for &(lo, hi) in ranges {
-                p.f32(lo);
-                p.f32(hi);
-            }
+            write_pairs(&mut p, ranges);
         }
     }
-    p.bytes
+    p.into_bytes()
 }
 
-fn decode_config(mut c: Cursor<'_>) -> Result<SmoreConfig> {
+fn decode_config(mut c: WireReader<'_>) -> Result<SmoreConfig> {
     let dim = c.len("dim")?;
     let channels = c.len("channels")?;
     let num_classes = c.len("num_classes")?;
@@ -505,12 +350,12 @@ fn decode_config(mut c: Cursor<'_>) -> Result<SmoreConfig> {
     let quantization = match c.u8()? {
         0 => Quantization::Interpolate,
         1 => Quantization::LevelFlip,
-        other => return Err(c.corrupt(format!("unknown quantization tag {other}"))),
+        other => return Err(c.malformed(format!("unknown quantization tag {other}")).into()),
     };
     let domain_init = match c.u8()? {
         0 => DomainInit::Shared,
         1 => DomainInit::Independent,
-        other => return Err(c.corrupt(format!("unknown domain_init tag {other}"))),
+        other => return Err(c.malformed(format!("unknown domain_init tag {other}")).into()),
     };
     let center = c.u8()? != 0;
     let standardize = c.u8()? != 0;
@@ -520,10 +365,10 @@ fn decode_config(mut c: Cursor<'_>) -> Result<SmoreConfig> {
         2 => {
             let n = c.len("fixed range")?;
             let flat =
-                c.f32s(n.checked_mul(2).ok_or_else(|| c.corrupt("range count overflows"))?)?;
+                c.f32s(n.checked_mul(2).ok_or_else(|| c.malformed("range count overflows"))?)?;
             RangeMode::Fixed(pairs(&flat))
         }
-        other => return Err(c.corrupt(format!("unknown range mode tag {other}"))),
+        other => return Err(c.malformed(format!("unknown range mode tag {other}")).into()),
     };
     let config = SmoreConfig {
         dim,
@@ -550,18 +395,32 @@ fn decode_config(mut c: Cursor<'_>) -> Result<SmoreConfig> {
     Ok(config)
 }
 
-fn encode_scaler(scaler: &ChannelStats) -> Vec<u8> {
-    let mut p = Payload::default();
-    p.len_of(scaler.mean.len());
-    p.f32s(&scaler.mean);
-    p.f32s(&scaler.std);
-    p.bytes
+/// Writes a `u64` count followed by the `(lo, hi)` pairs as `f32`s.
+fn write_pairs(p: &mut WireWriter, ranges: &[(f32, f32)]) {
+    p.u64(ranges.len() as u64);
+    for &(lo, hi) in ranges {
+        p.f32(lo);
+        p.f32(hi);
+    }
 }
 
-fn decode_scaler(mut c: Cursor<'_>, channels: usize) -> Result<ChannelStats> {
+/// Writes a `u64` count followed by the values.
+fn write_f32s(p: &mut WireWriter, values: &[f32]) {
+    p.u64(values.len() as u64);
+    p.f32s(values);
+}
+
+fn encode_scaler(scaler: &ChannelStats) -> Vec<u8> {
+    let mut p = WireWriter::new();
+    write_f32s(&mut p, &scaler.mean);
+    p.f32s(&scaler.std);
+    p.into_bytes()
+}
+
+fn decode_scaler(mut c: WireReader<'_>, channels: usize) -> Result<ChannelStats> {
     let n = c.len("channel")?;
     if n != channels {
-        return Err(c.corrupt(format!("{n} channel statistics for {channels} channels")));
+        return Err(c.malformed(format!("{n} channel statistics for {channels} channels")).into());
     }
     let mean = c.f32s(n)?;
     let std = c.f32s(n)?;
@@ -570,37 +429,46 @@ fn decode_scaler(mut c: Cursor<'_>, channels: usize) -> Result<ChannelStats> {
 }
 
 fn encode_mean(mean: &[f32]) -> Vec<u8> {
-    let mut p = Payload::default();
-    p.len_of(mean.len());
-    p.f32s(mean);
-    p.bytes
+    let mut p = WireWriter::new();
+    write_f32s(&mut p, mean);
+    p.into_bytes()
 }
 
-fn decode_mean(mut c: Cursor<'_>, dim: usize) -> Result<Vec<f32>> {
+fn decode_mean(mut c: WireReader<'_>, dim: usize) -> Result<Vec<f32>> {
     let n = c.len("mean")?;
     if n != dim {
-        return Err(c.corrupt(format!("centring mean of dim {n} for a dim-{dim} model")));
+        return Err(c.malformed(format!("centring mean of dim {n} for a dim-{dim} model")).into());
     }
     let mean = c.f32s(n)?;
     c.finish()?;
     Ok(mean)
 }
 
-fn encode_tags(tags: &[usize]) -> Vec<u8> {
-    let mut p = Payload::default();
-    p.len_of(tags.len());
+/// Writes a `u64` count followed by one `u64` per tag.
+fn write_tags(p: &mut WireWriter, tags: &[usize]) {
+    p.u64(tags.len() as u64);
     for &t in tags {
-        p.len_of(t);
+        p.u64(t as u64);
     }
-    p.bytes
 }
 
-fn decode_tags(mut c: Cursor<'_>, expected: usize) -> Result<Vec<usize>> {
+/// Reads `n` `u64` tag values.
+fn read_tags(c: &mut WireReader<'_>, n: usize, what: &str) -> WireResult<Vec<usize>> {
+    (0..n).map(|_| c.len(what)).collect()
+}
+
+fn encode_tags(tags: &[usize]) -> Vec<u8> {
+    let mut p = WireWriter::new();
+    write_tags(&mut p, tags);
+    p.into_bytes()
+}
+
+fn decode_tags(mut c: WireReader<'_>, expected: usize) -> Result<Vec<usize>> {
     let n = c.len("tag")?;
     if n != expected {
-        return Err(c.corrupt(format!("{n} domain tags for {expected} domains")));
+        return Err(c.malformed(format!("{n} domain tags for {expected} domains")).into());
     }
-    let tags: Vec<usize> = (0..n).map(|_| c.len("tag value")).collect::<Result<_>>()?;
+    let tags = read_tags(&mut c, n, "tag value")?;
     c.finish()?;
     let mut seen = tags.clone();
     seen.sort_unstable();
@@ -612,33 +480,29 @@ fn decode_tags(mut c: Cursor<'_>, expected: usize) -> Result<Vec<usize>> {
 }
 
 fn encode_value_range(range: &ValueRange) -> Vec<u8> {
-    let mut p = Payload::default();
+    let mut p = WireWriter::new();
     match range {
         ValueRange::PerWindow => p.u8(0),
         ValueRange::Global(ranges) => {
             p.u8(1);
-            p.len_of(ranges.len());
-            for &(lo, hi) in ranges {
-                p.f32(lo);
-                p.f32(hi);
-            }
+            write_pairs(&mut p, ranges);
         }
     }
-    p.bytes
+    p.into_bytes()
 }
 
-fn decode_value_range(mut c: Cursor<'_>, sensors: usize) -> Result<ValueRange> {
+fn decode_value_range(mut c: WireReader<'_>, sensors: usize) -> Result<ValueRange> {
     let range = match c.u8()? {
         0 => ValueRange::PerWindow,
         1 => {
             let n = c.len("range")?;
             if n != sensors {
-                return Err(c.corrupt(format!("{n} value ranges for {sensors} sensors")));
+                return Err(c.malformed(format!("{n} value ranges for {sensors} sensors")).into());
             }
             let flat = c.f32s(2 * n)?;
             ValueRange::Global(pairs(&flat))
         }
-        other => return Err(c.corrupt(format!("unknown value range tag {other}"))),
+        other => return Err(c.malformed(format!("unknown value range tag {other}")).into()),
     };
     c.finish()?;
     Ok(range)
@@ -660,51 +524,50 @@ fn encoder_config_with_range(config: &SmoreConfig, range: ValueRange) -> Encoder
     }
 }
 
+/// Reads one packed hypervector of `dim` bits.
+fn read_vector(c: &mut WireReader<'_>, dim: usize) -> Result<PackedHypervector> {
+    let words = c.u64s(smore_packed::words_for(dim))?;
+    PackedHypervector::from_words(dim, words).map_err(|e| c.malformed(e.to_string()).into())
+}
+
 fn encode_packed_vectors(vectors: &[PackedHypervector]) -> Vec<u8> {
-    let mut p = Payload::default();
-    p.len_of(vectors.len());
+    let mut p = WireWriter::new();
+    p.u64(vectors.len() as u64);
     for v in vectors {
-        p.words(v.words());
+        p.u64s(v.words());
     }
-    p.bytes
+    p.into_bytes()
 }
 
 fn decode_packed_vectors(
-    c: &mut Cursor<'_>,
+    c: &mut WireReader<'_>,
     count: usize,
     dim: usize,
 ) -> Result<Vec<PackedHypervector>> {
-    let words_per = smore_packed::words_for(dim);
     // Guard the collect's pre-allocation: `count` vectors need `count ×
     // words_per × 8` payload bytes, which must already be present.
-    let remaining = c.bytes.len() - c.pos;
+    let words_per = smore_packed::words_for(dim);
+    let remaining = c.remaining();
     if count.checked_mul(words_per.max(1) * 8).is_none_or(|need| need > remaining) {
-        return Err(
-            c.corrupt(format!("{count} packed vectors exceed the {remaining}-byte payload"))
-        );
+        return Err(c
+            .malformed(format!("{count} packed vectors exceed the {remaining}-byte payload"))
+            .into());
     }
-    (0..count)
-        .map(|_| {
-            let words = c.words(words_per)?;
-            PackedHypervector::from_words(dim, words).map_err(|e| c.corrupt(e.to_string()))
-        })
-        .collect()
+    (0..count).map(|_| read_vector(c, dim)).collect()
 }
 
 fn encode_codebooks(codebooks: &[Vec<PackedHypervector>]) -> Vec<u8> {
-    let mut p = Payload::default();
-    p.len_of(codebooks.len());
-    p.len_of(codebooks.first().map_or(0, Vec::len));
-    for levels in codebooks {
-        for v in levels {
-            p.words(v.words());
-        }
+    let mut p = WireWriter::new();
+    p.u64(codebooks.len() as u64);
+    p.u64(codebooks.first().map_or(0, Vec::len) as u64);
+    for v in codebooks.iter().flatten() {
+        p.u64s(v.words());
     }
-    p.bytes
+    p.into_bytes()
 }
 
-fn decode_codebooks(mut c: Cursor<'_>, dim: usize) -> Result<Vec<Vec<PackedHypervector>>> {
-    let sensors = c.count("sensor", 1)?;
+fn decode_codebooks(mut c: WireReader<'_>, dim: usize) -> Result<Vec<Vec<PackedHypervector>>> {
+    let sensors = c.count_u64("sensor", 1)?;
     let levels = c.len("level")?;
     let books = (0..sensors)
         .map(|_| decode_packed_vectors(&mut c, levels, dim))
@@ -713,26 +576,54 @@ fn decode_codebooks(mut c: Cursor<'_>, dim: usize) -> Result<Vec<Vec<PackedHyper
     Ok(books)
 }
 
+/// Writes one domain's residual class hypervectors: per class its plane
+/// count, then per plane its scale and sign words. Quantized models and
+/// tenant deltas store their domains' classes alike.
+fn write_classes(p: &mut WireWriter, classes: &[ResidualPacked]) {
+    for class in classes {
+        p.u8(class.num_planes() as u8);
+        for (alpha, plane) in class.planes() {
+            p.f32(*alpha);
+            p.u64s(plane.words());
+        }
+    }
+}
+
+/// Reads the `num_classes` residual class hypervectors of one domain, as
+/// [`write_classes`] wrote them.
+fn read_classes(
+    c: &mut WireReader<'_>,
+    num_classes: usize,
+    dim: usize,
+) -> Result<Vec<ResidualPacked>> {
+    let mut classes = Vec::with_capacity(num_classes);
+    for _ in 0..num_classes {
+        let planes = c.u8()? as usize;
+        if planes == 0 {
+            return Err(c.malformed("class hypervector with zero residual planes").into());
+        }
+        let planes = (0..planes)
+            .map(|_| Ok((c.f32()?, read_vector(c, dim)?)))
+            .collect::<Result<Vec<_>>>()?;
+        classes.push(ResidualPacked::from_planes(planes).map_err(|e| c.malformed(e.to_string()))?);
+    }
+    Ok(classes)
+}
+
 // ---------------------------------------------------------------------------
 // QuantizedSmore
 // ---------------------------------------------------------------------------
 
 fn quantized_to_bytes(model: &QuantizedSmore) -> Vec<u8> {
-    let mut classes_payload = Payload::default();
-    classes_payload.len_of(model.domain_classes.len());
-    classes_payload.len_of(model.config.num_classes);
+    let mut classes_payload = WireWriter::new();
+    classes_payload.u64(model.domain_classes.len() as u64);
+    classes_payload.u64(model.config.num_classes as u64);
     for domain in &model.domain_classes {
-        for class in domain {
-            classes_payload.u8(class.num_planes() as u8);
-            for (alpha, plane) in class.planes() {
-                classes_payload.f32(*alpha);
-                classes_payload.words(plane.words());
-            }
-        }
+        write_classes(&mut classes_payload, domain);
     }
-    let mut gram_payload = Payload::default();
-    gram_payload.len_of(model.class_gram.len());
-    gram_payload.len_of(model.domain_classes.len());
+    let mut gram_payload = WireWriter::new();
+    gram_payload.u64(model.class_gram.len() as u64);
+    gram_payload.u64(model.domain_classes.len() as u64);
     for gram in &model.class_gram {
         gram_payload.f32s(gram);
     }
@@ -743,8 +634,8 @@ fn quantized_to_bytes(model: &QuantizedSmore) -> Vec<u8> {
         (SEC_DOMAIN_TAGS, encode_tags(&model.domain_tags)),
         (SEC_ENCODER_RANGE, encode_value_range(&model.encoder.config().range)),
         (SEC_PACKED_DESCRIPTORS, encode_packed_vectors(&model.descriptors)),
-        (SEC_PACKED_CLASSES, classes_payload.bytes),
-        (SEC_CLASS_GRAM, gram_payload.bytes),
+        (SEC_PACKED_CLASSES, classes_payload.into_bytes()),
+        (SEC_CLASS_GRAM, gram_payload.into_bytes()),
         (SEC_PACKED_CODEBOOKS, encode_codebooks(model.encoder.codebooks())),
         (SEC_PACKED_CODEBOOKS_ROT, encode_codebooks(model.encoder.codebooks_rot())),
         (SEC_PACKED_SIGNATURES, encode_packed_vectors(model.encoder.signatures())),
@@ -786,40 +677,22 @@ fn quantized_from_bytes(bytes: &[u8]) -> Result<QuantizedSmore> {
     // least one plane-count byte per class, which bounds the count (and
     // therefore every allocation sized by it) by the payload length.
     let mut c = require(&sections, SEC_PACKED_CLASSES)?;
-    let num_domains = c.count("domain", config.num_classes.max(1))?;
+    let num_domains = c.count_u64("domain", config.num_classes.max(1))?;
     if num_domains < 2 {
-        return Err(c.corrupt(format!("{num_domains} domains; SMORE serves K >= 2")));
+        return Err(c.malformed(format!("{num_domains} domains; SMORE serves K >= 2")).into());
     }
     let num_classes = c.len("class")?;
     if num_classes != config.num_classes {
-        return Err(c.corrupt(format!(
-            "{num_classes} classes per domain for a {}-class config",
-            config.num_classes
-        )));
+        return Err(c
+            .malformed(format!(
+                "{num_classes} classes per domain for a {}-class config",
+                config.num_classes
+            ))
+            .into());
     }
-    let words_per = smore_packed::words_for(dim);
-    let mut domain_classes = Vec::with_capacity(num_domains);
-    for _ in 0..num_domains {
-        let mut classes = Vec::with_capacity(num_classes);
-        for _ in 0..num_classes {
-            let planes = c.u8()? as usize;
-            if planes == 0 {
-                return Err(c.corrupt("class hypervector with zero residual planes"));
-            }
-            let planes = (0..planes)
-                .map(|_| {
-                    let alpha = c.f32()?;
-                    let words = c.words(words_per)?;
-                    let plane = PackedHypervector::from_words(dim, words)
-                        .map_err(|e| c.corrupt(e.to_string()))?;
-                    Ok((alpha, plane))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            classes
-                .push(ResidualPacked::from_planes(planes).map_err(|e| c.corrupt(e.to_string()))?);
-        }
-        domain_classes.push(classes);
-    }
+    let domain_classes = (0..num_domains)
+        .map(|_| read_classes(&mut c, num_classes, dim))
+        .collect::<Result<Vec<_>>>()?;
     c.finish()?;
 
     // Per-class Gram matrices.
@@ -827,19 +700,22 @@ fn quantized_from_bytes(bytes: &[u8]) -> Result<QuantizedSmore> {
     let gram_classes = c.len("class")?;
     let gram_k = c.len("domain")?;
     if gram_classes != num_classes || gram_k != num_domains {
-        return Err(c.corrupt(format!(
-            "gram shaped ({gram_classes} classes, K={gram_k}) for ({num_classes}, K={num_domains})"
-        )));
+        return Err(c
+            .malformed(format!(
+                "gram shaped ({gram_classes} classes, K={gram_k}) for ({num_classes}, \
+                 K={num_domains})"
+            ))
+            .into());
     }
     let class_gram =
-        (0..gram_classes).map(|_| c.f32s(gram_k * gram_k)).collect::<Result<Vec<_>>>()?;
+        (0..gram_classes).map(|_| c.f32s(gram_k * gram_k)).collect::<WireResult<Vec<_>>>()?;
     c.finish()?;
 
     // Descriptors.
     let mut c = require(&sections, SEC_PACKED_DESCRIPTORS)?;
     let n = c.len("descriptor")?;
     if n != num_domains {
-        return Err(c.corrupt(format!("{n} descriptors for {num_domains} domains")));
+        return Err(c.malformed(format!("{n} descriptors for {num_domains} domains")).into());
     }
     let descriptors = decode_packed_vectors(&mut c, n, dim)?;
     c.finish()?;
@@ -929,20 +805,20 @@ impl QuantizedSmore {
 // ---------------------------------------------------------------------------
 
 fn dense_to_bytes(model: &Smore, fitted: &Fitted) -> Vec<u8> {
-    let mut models_payload = Payload::default();
-    models_payload.len_of(fitted.domain_models.len());
+    let mut models_payload = WireWriter::new();
+    models_payload.u64(fitted.domain_models.len() as u64);
     for m in fitted.domain_models.iter() {
         models_payload.f32(m.config().learning_rate);
-        models_payload.len_of(m.config().epochs);
+        models_payload.u64(m.config().epochs as u64);
         let hvs = m.class_hypervectors();
-        models_payload.len_of(hvs.rows());
-        models_payload.len_of(hvs.cols());
+        models_payload.u64(hvs.rows() as u64);
+        models_payload.u64(hvs.cols() as u64);
         models_payload.f32s(hvs.as_slice());
     }
     let descriptors = fitted.descriptors.as_matrix();
-    let mut desc_payload = Payload::default();
-    desc_payload.len_of(descriptors.rows());
-    desc_payload.len_of(descriptors.cols());
+    let mut desc_payload = WireWriter::new();
+    desc_payload.u64(descriptors.rows() as u64);
+    desc_payload.u64(descriptors.cols() as u64);
     desc_payload.f32s(descriptors.as_slice());
 
     let sections = vec![
@@ -951,8 +827,8 @@ fn dense_to_bytes(model: &Smore, fitted: &Fitted) -> Vec<u8> {
         (SEC_CENTERING, encode_mean(fitted.centerer.mean())),
         (SEC_DOMAIN_TAGS, encode_tags(&fitted.domain_tags)),
         (SEC_ENCODER_RANGE, encode_value_range(&model.encoder.config().range)),
-        (SEC_DENSE_DESCRIPTORS, desc_payload.bytes),
-        (SEC_DOMAIN_MODELS, models_payload.bytes),
+        (SEC_DENSE_DESCRIPTORS, desc_payload.into_bytes()),
+        (SEC_DOMAIN_MODELS, models_payload.into_bytes()),
     ];
     write_container(ArtifactKind::Dense, &sections)
 }
@@ -985,9 +861,11 @@ fn dense_from_bytes(bytes: &[u8]) -> Result<Smore> {
     // Every model carries at least its 28-byte fixed header (lr, epochs,
     // rows, cols), bounding the count before any allocation.
     let mut c = require(&sections, SEC_DOMAIN_MODELS)?;
-    let num_domains = c.count("model", 28)?;
+    let num_domains = c.count_u64("model", 28)?;
     if num_domains < 2 {
-        return Err(c.corrupt(format!("{num_domains} domain models; SMORE serves K >= 2")));
+        return Err(c
+            .malformed(format!("{num_domains} domain models; SMORE serves K >= 2"))
+            .into());
     }
     let mut domain_models = Vec::with_capacity(num_domains);
     for _ in 0..num_domains {
@@ -996,16 +874,18 @@ fn dense_from_bytes(bytes: &[u8]) -> Result<Smore> {
         let rows = c.len("class")?;
         let cols = c.len("dim")?;
         if rows != config.num_classes || cols != config.dim {
-            return Err(c.corrupt(format!(
-                "domain model shaped ({rows}, {cols}) for a ({}, {}) config",
-                config.num_classes, config.dim
-            )));
+            return Err(c
+                .malformed(format!(
+                    "domain model shaped ({rows}, {cols}) for a ({}, {}) config",
+                    config.num_classes, config.dim
+                ))
+                .into());
         }
         let data =
-            c.f32s(rows.checked_mul(cols).ok_or_else(|| c.corrupt("model size overflows"))?)?;
-        let hvs = Matrix::from_vec(rows, cols, data).map_err(|e| c.corrupt(e.to_string()))?;
+            c.f32s(rows.checked_mul(cols).ok_or_else(|| c.malformed("model size overflows"))?)?;
+        let hvs = Matrix::from_vec(rows, cols, data).map_err(|e| c.malformed(e.to_string()))?;
         let model = HdcClassifier::from_class_hypervectors_with(hvs, learning_rate, epochs)
-            .map_err(|e| c.corrupt(e.to_string()))?;
+            .map_err(|e| c.malformed(e.to_string()))?;
         domain_models.push(model);
     }
     c.finish()?;
@@ -1014,14 +894,16 @@ fn dense_from_bytes(bytes: &[u8]) -> Result<Smore> {
     let rows = c.len("descriptor")?;
     let cols = c.len("dim")?;
     if rows != num_domains || cols != config.dim {
-        return Err(c.corrupt(format!(
-            "descriptors shaped ({rows}, {cols}) for K={num_domains}, dim {}",
-            config.dim
-        )));
+        return Err(c
+            .malformed(format!(
+                "descriptors shaped ({rows}, {cols}) for K={num_domains}, dim {}",
+                config.dim
+            ))
+            .into());
     }
-    let data = c.f32s(rows.checked_mul(cols).ok_or_else(|| c.corrupt("size overflows"))?)?;
+    let data = c.f32s(rows.checked_mul(cols).ok_or_else(|| c.malformed("size overflows"))?)?;
     let descriptors = DomainDescriptors::from_matrix(
-        Matrix::from_vec(rows, cols, data).map_err(|e| c.corrupt(e.to_string()))?,
+        Matrix::from_vec(rows, cols, data).map_err(|e| c.malformed(e.to_string()))?,
     );
     c.finish()?;
 
@@ -1051,52 +933,40 @@ fn dense_from_bytes(bytes: &[u8]) -> Result<Smore> {
 // SnapshotDelta (DeltaV1)
 // ---------------------------------------------------------------------------
 
-use crate::delta::{DeltaDomain, DeltaEnrollmentRecord, DeltaMeta, SnapshotDelta};
-
 fn delta_to_bytes(delta: &SnapshotDelta) -> Vec<u8> {
-    let mut meta = Payload::default();
-    meta.len_of(delta.dim);
-    meta.len_of(delta.num_classes);
-    meta.len_of(delta.base_domains);
-    meta.len_of(delta.base_tags.len());
-    for &t in &delta.base_tags {
-        meta.len_of(t);
+    let mut meta = WireWriter::new();
+    for v in [delta.dim, delta.num_classes, delta.base_domains] {
+        meta.u64(v as u64);
     }
-    meta.len_of(delta.meta.next_tag);
-    meta.len_of(delta.meta.steps);
+    write_tags(&mut meta, &delta.base_tags);
+    meta.u64(delta.meta.next_tag as u64);
+    meta.u64(delta.meta.steps as u64);
 
-    let mut domains = Payload::default();
-    domains.len_of(delta.domains.len());
+    let mut domains = WireWriter::new();
+    domains.u64(delta.domains.len() as u64);
     for domain in &delta.domains {
-        domains.len_of(domain.tag);
-        domains.words(domain.descriptor.words());
-        for class in &domain.classes {
-            domains.u8(class.num_planes() as u8);
-            for (alpha, plane) in class.planes() {
-                domains.f32(*alpha);
-                domains.words(plane.words());
-            }
-        }
+        domains.u64(domain.tag as u64);
+        domains.u64s(domain.descriptor.words());
+        write_classes(&mut domains, &domain.classes);
         for row in &domain.gram_rows {
             domains.f32s(row);
         }
     }
 
-    let mut records = Payload::default();
-    records.len_of(delta.meta.records.len());
+    let mut records = WireWriter::new();
+    records.u64(delta.meta.records.len() as u64);
     for r in &delta.meta.records {
-        records.len_of(r.tag);
-        records.len_of(r.step);
-        records.len_of(r.enrolled_windows);
-        records.len_of(r.oracle_labelled);
+        for v in [r.tag, r.step, r.enrolled_windows, r.oracle_labelled] {
+            records.u64(v as u64);
+        }
         records.u64(r.enroll_nanos);
         records.u64(r.swap_nanos);
     }
 
     let sections = vec![
-        (SEC_DELTA_META, meta.bytes),
-        (SEC_DELTA_DOMAINS, domains.bytes),
-        (SEC_DELTA_RECORDS, records.bytes),
+        (SEC_DELTA_META, meta.into_bytes()),
+        (SEC_DELTA_DOMAINS, domains.into_bytes()),
+        (SEC_DELTA_RECORDS, records.into_bytes()),
     ];
     write_container(ArtifactKind::Delta, &sections)
 }
@@ -1117,64 +987,52 @@ fn delta_from_bytes(bytes: &[u8]) -> Result<SnapshotDelta> {
     let num_classes = c.len("num_classes")?;
     let base_domains = c.len("base_domains")?;
     if dim == 0 || num_classes == 0 || base_domains < 2 {
-        return Err(c.corrupt(format!(
-            "delta over dim={dim}, classes={num_classes}, K={base_domains}; SMORE serves \
-             dim >= 1, classes >= 1, K >= 2"
-        )));
+        return Err(c
+            .malformed(format!(
+                "delta over dim={dim}, classes={num_classes}, K={base_domains}; SMORE serves \
+                 dim >= 1, classes >= 1, K >= 2"
+            ))
+            .into());
     }
-    let n_tags = c.count("base tag", 8)?;
+    let n_tags = c.count_u64("base tag", 8)?;
     if n_tags != base_domains {
-        return Err(c.corrupt(format!("{n_tags} base tags for {base_domains} base domains")));
+        return Err(c
+            .malformed(format!("{n_tags} base tags for {base_domains} base domains"))
+            .into());
     }
-    let base_tags: Vec<usize> =
-        (0..n_tags).map(|_| c.len("base tag value")).collect::<Result<_>>()?;
+    let base_tags = read_tags(&mut c, n_tags, "base tag value")?;
     let next_tag = c.len("next_tag")?;
     let steps = c.len("steps")?;
     c.finish()?;
 
     // Delta domains: each carries at least its tag, its packed descriptor
     // and one plane-count byte per class — bounding the count (and every
-    // allocation sized by it) by the payload length.
+    // allocation sized by it) by the payload length. The sum saturates, so
+    // a crafted dim or class count is refused rather than overflowing.
     let words_per = smore_packed::words_for(dim);
     let mut c = require(&sections, SEC_DELTA_DOMAINS)?;
-    let num_domains = c.count("delta domain", 8 + words_per * 8 + num_classes)?;
+    let min_domain_bytes =
+        words_per.saturating_mul(8).saturating_add(8).saturating_add(num_classes);
+    let num_domains = c.count_u64("delta domain", min_domain_bytes)?;
     let mut domains: Vec<DeltaDomain> = Vec::with_capacity(num_domains);
     for i in 0..num_domains {
         let tag = c.len("tag")?;
         if base_tags.contains(&tag) || domains.iter().any(|d| d.tag == tag) {
-            return Err(c.corrupt(format!("duplicate domain tag {tag}")));
+            return Err(c.malformed(format!("duplicate domain tag {tag}")).into());
         }
-        let descriptor = PackedHypervector::from_words(dim, c.words(words_per)?)
-            .map_err(|e| c.corrupt(e.to_string()))?;
-        let mut classes = Vec::with_capacity(num_classes);
-        for _ in 0..num_classes {
-            let planes = c.u8()? as usize;
-            if planes == 0 {
-                return Err(c.corrupt("class hypervector with zero residual planes"));
-            }
-            let planes = (0..planes)
-                .map(|_| {
-                    let alpha = c.f32()?;
-                    let words = c.words(words_per)?;
-                    let plane = PackedHypervector::from_words(dim, words)
-                        .map_err(|e| c.corrupt(e.to_string()))?;
-                    Ok((alpha, plane))
-                })
-                .collect::<Result<Vec<_>>>()?;
-            classes
-                .push(ResidualPacked::from_planes(planes).map_err(|e| c.corrupt(e.to_string()))?);
-        }
+        let descriptor = read_vector(&mut c, dim)?;
+        let classes = read_classes(&mut c, num_classes, dim)?;
         // Growth row `i` holds one dot per earlier domain (base + prior
         // deltas) plus the self-dot.
         let row_len = base_domains + i + 1;
         let gram_rows =
-            (0..num_classes).map(|_| c.f32s(row_len)).collect::<Result<Vec<Vec<f32>>>>()?;
+            (0..num_classes).map(|_| c.f32s(row_len)).collect::<WireResult<Vec<Vec<f32>>>>()?;
         domains.push(DeltaDomain { tag, classes, descriptor, gram_rows });
     }
     c.finish()?;
 
     let mut c = require(&sections, SEC_DELTA_RECORDS)?;
-    let n_records = c.count("enrolment record", 48)?;
+    let n_records = c.count_u64("enrolment record", 48)?;
     let records = (0..n_records)
         .map(|_| {
             Ok(DeltaEnrollmentRecord {
@@ -1186,7 +1044,7 @@ fn delta_from_bytes(bytes: &[u8]) -> Result<SnapshotDelta> {
                 swap_nanos: c.u64()?,
             })
         })
-        .collect::<Result<Vec<_>>>()?;
+        .collect::<WireResult<Vec<_>>>()?;
     c.finish()?;
 
     Ok(SnapshotDelta {
@@ -1329,6 +1187,11 @@ mod tests {
         );
         let err = parse_container(&dup).unwrap_err();
         assert!(err.to_string().contains("duplicate"), "{err}");
+        // A section length whose end overflows the address space is a
+        // truncation, not an arithmetic overflow.
+        let mut huge = bytes.clone();
+        huge[HEADER_LEN + 8..HEADER_LEN + 16].copy_from_slice(&(u64::MAX - 8).to_le_bytes());
+        assert!(matches!(parse_container(&huge), Err(SmoreError::CorruptArtifact { .. })));
     }
 
     #[test]
@@ -1337,20 +1200,5 @@ mod tests {
         let (_, sections) = parse_container(&bytes).unwrap();
         let err = reject_unknown(&sections, &[SEC_CONFIG]).unwrap_err();
         assert!(err.to_string().contains("unknown section id 999"), "{err}");
-    }
-
-    #[test]
-    fn cursor_bounds_and_trailing_checks() {
-        let mut c = Cursor::new(&[1, 0, 0, 0, 0, 0, 0, 0, 5], "test");
-        assert_eq!(c.u64().unwrap(), 1);
-        assert!(c.f32().is_err(), "only one byte left");
-        assert_eq!(c.u8().unwrap(), 5);
-        c.finish().unwrap();
-        let mut c = Cursor::new(&[0xFF; 8], "test");
-        // A huge count cannot allocate: the byte bound fails first.
-        let n = c.len("x").err();
-        assert!(n.is_some() || c.f32s(usize::MAX / 8).is_err());
-        let c = Cursor::new(&[1, 2], "test");
-        assert!(c.finish().is_err(), "unread bytes");
     }
 }

@@ -40,12 +40,13 @@ use std::time::Instant;
 
 use smore_hdc::model::HdcClassifier;
 use smore_packed::{PackedHypervector, ResidualPacked};
-use smore_tensor::{parallel, vecops, Matrix};
+use smore_tensor::{vecops, Matrix};
 
+use crate::config::SmoreConfig;
 use crate::ood::{OodDetector, OodVerdict};
-use crate::predictor::{empty_prediction, Predictor, ServeScratch};
+use crate::predictor::{Predictor, ServeScratch};
 use crate::quantized::{clamped_nanos, recover_cosine, CLASS_PLANES};
-use crate::smore_model::{EvalReport, Prediction};
+use crate::smore_model::Prediction;
 use crate::test_time::ensemble_weights_into;
 use crate::{QuantizedSmore, Result, SmoreError};
 
@@ -310,8 +311,8 @@ impl SnapshotDelta {
 /// the [module docs](self)).
 ///
 /// Domains are indexed base first, then overlay domains in enrolment
-/// order. With an empty overlay this is the base model itself: every
-/// [`QuantizedSmore`] scoring entry point calls it that way. With a
+/// order. With an empty overlay this is the base model itself:
+/// [`QuantizedSmore`]'s [`Predictor`] impl calls it that way. With a
 /// tenant's [`SnapshotDelta::domains`] it scores bit-exactly like the full
 /// clone that enrolled the same domains.
 ///
@@ -432,35 +433,19 @@ impl<'a> DeltaSmore<'a> {
         }
         Ok(())
     }
+}
 
-    /// Per-class ensemble scores for one window (the
-    /// [`Predictor::score_into`] surface): `scores` is cleared and
-    /// refilled with `num_classes` entries; the predicted label is their
-    /// argmax.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoder errors for malformed windows.
-    pub fn score_into(
-        &self,
-        window: &Matrix,
-        scratch: &mut ServeScratch,
-        scores: &mut Vec<f32>,
-    ) -> Result<()> {
-        self.prepare_query(window, scratch)?;
-        self.class_scores_into(&scratch.query, &scratch.weights, scores)
+impl Predictor for DeltaSmore<'_> {
+    /// The base model's configuration: an overlay changes neither the
+    /// shape nor `δ*`.
+    fn config(&self) -> &SmoreConfig {
+        &self.base.config
     }
 
-    /// Predicts one window — Algorithm 1 entirely on packed operations,
-    /// reusing caller-owned scratch so the steady-state hot path performs
-    /// no heap allocation. The returned reference points into `scratch`
-    /// (also readable later through [`ServeScratch::prediction`]); clone
-    /// it to keep the prediction past the next call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoder errors for malformed windows.
-    pub fn predict_window_with<'s>(
+    /// Algorithm 1 entirely on packed operations, reusing caller-owned
+    /// scratch so the steady-state hot path performs no heap allocation.
+    /// Fills [`ServeScratch::timings`].
+    fn predict_window_with<'s>(
         &self,
         window: &Matrix,
         scratch: &'s mut ServeScratch,
@@ -486,91 +471,13 @@ impl<'a> DeltaSmore<'a> {
         Ok(&scratch.prediction)
     }
 
-    /// Predicts one window — the allocating convenience wrapper around
-    /// [`predict_window_with`](Self::predict_window_with).
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoder errors for malformed windows.
-    pub fn predict_window(&self, window: &Matrix) -> Result<Prediction> {
-        let mut scratch = ServeScratch::new();
-        Ok(self.predict_window_with(window, &mut scratch)?.clone())
-    }
-
-    /// Predicts a batch of windows in parallel; every worker thread reuses
-    /// one [`ServeScratch`] across its whole chunk, so the per-window cost
-    /// is allocation-free encoding plus one output clone.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoder errors for malformed windows.
-    pub fn predict_batch(&self, windows: &[Matrix]) -> Result<Vec<Prediction>> {
-        let mut out: Vec<Result<Prediction>> =
-            (0..windows.len()).map(|_| Ok(empty_prediction())).collect();
-        parallel::par_chunks_indexed(&mut out, self.base.config.threads, |start, chunk| {
-            let mut scratch = ServeScratch::new();
-            for (slot, window) in chunk.iter_mut().zip(windows.iter().skip(start)) {
-                *slot = self.predict_window_with(window, &mut scratch).cloned();
-            }
-        });
-        out.into_iter().collect()
-    }
-
-    /// Predicts and scores a labelled evaluation set.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`predict_batch`](Self::predict_batch), plus
-    /// [`SmoreError::InvalidConfig`] for mismatched label counts.
-    pub fn evaluate(&self, windows: &[Matrix], labels: &[usize]) -> Result<EvalReport> {
-        if windows.len() != labels.len() || windows.is_empty() {
-            return Err(SmoreError::InvalidConfig {
-                what: format!("{} windows but {} labels", windows.len(), labels.len()),
-            });
-        }
-        let t0 = Instant::now();
-        let predictions = self.predict_batch(windows)?;
-        let infer_seconds = t0.elapsed().as_secs_f64();
-        let correct = predictions.iter().zip(labels).filter(|(p, &l)| p.label == l).count();
-        let ood = predictions.iter().filter(|p| p.is_ood).count();
-        Ok(EvalReport {
-            accuracy: correct as f32 / windows.len() as f32,
-            samples: windows.len(),
-            ood_fraction: ood as f32 / windows.len() as f32,
-            infer_seconds,
-        })
-    }
-}
-
-impl Predictor for DeltaSmore<'_> {
-    fn num_classes(&self) -> usize {
-        self.base.config.num_classes
-    }
-
-    fn predict_window_with<'s>(
-        &self,
-        window: &Matrix,
-        scratch: &'s mut ServeScratch,
-    ) -> Result<&'s Prediction> {
-        DeltaSmore::predict_window_with(self, window, scratch)
-    }
-
     fn score_into(
         &self,
         window: &Matrix,
         scratch: &mut ServeScratch,
         scores: &mut Vec<f32>,
     ) -> Result<()> {
-        DeltaSmore::score_into(self, window, scratch, scores)
-    }
-
-    fn predict_window(&self, window: &Matrix) -> Result<Prediction> {
-        DeltaSmore::predict_window(self, window)
-    }
-
-    /// Overrides the provided sequential batch with the thread-parallel
-    /// per-chunk-scratch implementation.
-    fn predict_batch(&self, windows: &[Matrix]) -> Result<Vec<Prediction>> {
-        DeltaSmore::predict_batch(self, windows)
+        self.prepare_query(window, scratch)?;
+        self.class_scores_into(&scratch.query, &scratch.weights, scores)
     }
 }

@@ -5,6 +5,8 @@ use smore_data::DataError;
 use smore_hdc::HdcError;
 use smore_tensor::TensorError;
 
+use crate::wire::WireError;
+
 /// Error type for the SMORE model and evaluation pipeline.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
@@ -137,6 +139,13 @@ impl From<TensorError> for SmoreError {
     }
 }
 
+/// A malformed artifact payload: the reader's context names the section.
+impl From<WireError> for SmoreError {
+    fn from(e: WireError) -> Self {
+        SmoreError::CorruptArtifact { section: e.context.to_string(), reason: e.reason }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,6 +176,8 @@ mod tests {
         assert!(corrupt.to_string().contains("gram"));
         assert!(corrupt.to_string().contains("crc mismatch"));
         assert_eq!(corrupt.clone(), corrupt);
+        let wire: SmoreError = WireError { context: "gram", reason: "crc mismatch".into() }.into();
+        assert_eq!(wire, corrupt, "a wire failure names its section");
         let res = SmoreError::resource(
             "spawning worker thread 3",
             &std::io::Error::new(std::io::ErrorKind::WouldBlock, "EAGAIN"),

@@ -36,16 +36,18 @@
 //! full streaming deployment on these: OOD buffering, drift detection and
 //! the multi-tenant `ServeEngine`.
 //!
-//! Every serving backend implements the unified [`Predictor`] trait, and
-//! both model forms persist as versioned `.smore` binary artifacts
-//! ([`artifact`]): [`QuantizedSmore::save`]/[`QuantizedSmore::load`] are
-//! bit-exact, [`Smore::save`]/[`Smore::load`] resume adaptation in a new
-//! process.
+//! Every backend predicts, scores and evaluates through one trait,
+//! [`Predictor`] — the only prediction API, so bring it into scope
+//! (`use smore::Predictor;`) to call `predict_window`, `predict_batch` or
+//! `evaluate` on a model. Both model forms persist as versioned `.smore`
+//! binary artifacts ([`artifact`], encoded with the [`wire`] codec):
+//! [`QuantizedSmore::save`]/[`QuantizedSmore::load`] are bit-exact,
+//! [`Smore::save`]/[`Smore::load`] resume adaptation in a new process.
 //!
 //! # Quickstart
 //!
 //! ```
-//! use smore::{Smore, SmoreConfig};
+//! use smore::{Predictor, Smore, SmoreConfig};
 //! use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 //! use smore_data::split;
 //!

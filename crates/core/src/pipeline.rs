@@ -11,6 +11,7 @@ use smore_data::{split, Dataset};
 use smore_tensor::Matrix;
 
 use crate::config::SmoreConfig;
+use crate::predictor::Predictor;
 use crate::smore_model::Smore;
 
 /// Boxed error used at the pipeline boundary so algorithms from different

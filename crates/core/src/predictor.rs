@@ -5,15 +5,22 @@
 //! [`DeltaSmore`](crate::DeltaSmore) (a packed base chained with a
 //! tenant's delta) share one prediction surface, so no bench, example or
 //! test matches on the backend it happens to hold. [`Predictor`] is that
-//! contract: encode a raw window, run Algorithm 1, report a
-//! [`Prediction`], all through a shared caller-owned [`ServeScratch`] so
-//! the hot path stays allocation-free regardless of backend.
+//! surface and the only one: the backends have no inherent predict, score
+//! or evaluate methods. Each implements the scratch entry points — encode a
+//! raw window, run Algorithm 1, report a [`Prediction`] through a shared
+//! caller-owned [`ServeScratch`] so the hot path stays allocation-free —
+//! and the trait builds the allocating, batch and evaluation wrappers on
+//! them once.
 
+use std::time::Instant;
+
+use smore_data::Dataset;
 use smore_packed::{EncoderScratch, PackedHypervector};
-use smore_tensor::Matrix;
+use smore_tensor::{parallel, Matrix};
 
-use crate::smore_model::Prediction;
-use crate::Result;
+use crate::config::SmoreConfig;
+use crate::smore_model::{EvalReport, Prediction};
+use crate::{Result, SmoreError};
 
 /// Caller-owned scratch for the serving hot path, shared by every
 /// [`Predictor`] backend.
@@ -21,16 +28,18 @@ use crate::Result;
 /// Bundles every buffer one prediction needs — the scaled window, the
 /// packed encoder's [`EncoderScratch`] and query, the dense query vector,
 /// the similarity / ensemble-weight / per-class-score vectors and the
-/// output [`Prediction`] — so `predict_window_with` performs no heap
-/// allocation in steady state. Buffers size themselves lazily on first use
-/// and survive a change of model (an enrolled domain merely grows the
-/// similarity vectors once). One scratch can serve different backends (and
-/// different models) interleaved; it just re-sizes on the first call of
-/// each shape.
+/// output [`Prediction`] — so [`Predictor::predict_window_with`] performs
+/// no heap allocation in steady state. Buffers size themselves lazily on
+/// first use and survive a change of model (an enrolled domain merely
+/// grows the similarity vectors once). One scratch can serve different
+/// backends (and different models) interleaved; it just re-sizes on the
+/// first call of each shape.
 ///
 /// # Example
 ///
 /// ```no_run
+/// use smore::Predictor;
+///
 /// # fn main() -> Result<(), smore::SmoreError> {
 /// # let quantized: smore::QuantizedSmore = unimplemented!();
 /// # let windows: Vec<smore_tensor::Matrix> = vec![];
@@ -70,9 +79,10 @@ pub struct ServeScratch {
 /// Per-stage wall time of one prediction, split at the encode/score
 /// boundary of Algorithm 1.
 ///
-/// Populated by [`QuantizedSmore`](crate::QuantizedSmore)'s
-/// `predict_window_with` (the serving backend); the dense reference
-/// pipeline leaves it zeroed. Telemetry layers read it from
+/// Populated by [`Predictor::predict_window_with`] on the packed backends
+/// ([`QuantizedSmore`](crate::QuantizedSmore) and
+/// [`DeltaSmore`](crate::DeltaSmore), the serving path); the dense
+/// reference pipeline leaves it zeroed. Telemetry layers read it from
 /// [`ServeScratch::timings`] after each call — three `Instant::now()`
 /// reads per prediction, negligible against the tens of microseconds a
 /// packed predict costs.
@@ -103,8 +113,8 @@ impl ServeScratch {
         }
     }
 
-    /// The prediction produced by the most recent `predict_window_with`
-    /// call through this scratch.
+    /// The prediction produced by the most recent
+    /// [`Predictor::predict_window_with`] call through this scratch.
     pub fn prediction(&self) -> &Prediction {
         &self.prediction
     }
@@ -130,7 +140,7 @@ impl Default for ServeScratch {
 
 /// A structurally valid placeholder [`Prediction`] (overwritten before any
 /// caller observes it).
-pub(crate) fn empty_prediction() -> Prediction {
+fn empty_prediction() -> Prediction {
     Prediction {
         label: 0,
         is_ood: false,
@@ -140,7 +150,8 @@ pub(crate) fn empty_prediction() -> Prediction {
     }
 }
 
-/// One inference surface over every SMORE serving backend.
+/// One inference surface over every SMORE serving backend — the only
+/// prediction API the models expose.
 ///
 /// Implemented by [`Smore`](crate::Smore) (dense reference pipeline),
 /// [`QuantizedSmore`](crate::QuantizedSmore) (bit-packed serving) and
@@ -148,10 +159,15 @@ pub(crate) fn empty_prediction() -> Prediction {
 /// benches, examples and tests can hold a `&dyn Predictor` instead of
 /// matching on the backend.
 ///
-/// The two required entry points reuse a caller-owned [`ServeScratch`];
-/// the provided wrappers allocate per call and exist for convenience
-/// paths. Implementations with a faster batch strategy (thread-parallel
-/// chunking) override [`predict_batch`](Self::predict_batch).
+/// A backend implements three methods: [`config`](Self::config) and the
+/// two scratch entry points, [`predict_window_with`](Self::predict_window_with)
+/// and [`score_into`](Self::score_into), which reuse a caller-owned
+/// [`ServeScratch`]. Everything else is written once, here:
+/// [`num_classes`](Self::num_classes), the allocating
+/// [`predict_window`](Self::predict_window), the thread-parallel
+/// [`predict_batch`](Self::predict_batch) (one scratch per chunk of
+/// `config().threads`), [`evaluate`](Self::evaluate) and
+/// [`evaluate_indices`](Self::evaluate_indices).
 ///
 /// # Example
 ///
@@ -186,18 +202,20 @@ pub(crate) fn empty_prediction() -> Prediction {
 /// for backend in backends {
 ///     let p = backend.predict_window_with(ds.window(0), &mut scratch)?;
 ///     assert!(p.label < backend.num_classes());
+///     assert_eq!(backend.evaluate_indices(&ds, &all)?.samples, ds.len());
 /// }
 /// # Ok(())
 /// # }
 /// ```
-pub trait Predictor {
-    /// Number of activity classes `n` this model scores.
-    fn num_classes(&self) -> usize;
+pub trait Predictor: Sync {
+    /// The configuration this model scores with: shape, `δ*`, Eq. 3
+    /// weight power and the batch thread count.
+    fn config(&self) -> &SmoreConfig;
 
     /// Predicts one window through caller-owned scratch — the
-    /// allocation-free hot path. The returned reference points into
-    /// `scratch` (also readable later through [`ServeScratch::prediction`]);
-    /// clone it to keep the prediction past the next call.
+    /// allocation-free hot path. The returned reference points into `scratch`
+    /// (also readable later through [`ServeScratch::prediction`]); clone it
+    /// to keep the prediction past the next call.
     ///
     /// # Errors
     ///
@@ -226,6 +244,11 @@ pub trait Predictor {
         scores: &mut Vec<f32>,
     ) -> Result<()>;
 
+    /// Number of activity classes `n` this model scores.
+    fn num_classes(&self) -> usize {
+        self.config().num_classes
+    }
+
     /// Predicts one window — the allocating convenience wrapper.
     ///
     /// # Errors
@@ -236,114 +259,203 @@ pub trait Predictor {
         Ok(self.predict_window_with(window, &mut scratch)?.clone())
     }
 
-    /// Predicts a batch of windows. The provided implementation serves
-    /// them sequentially through one scratch; backends with a parallel
-    /// batch path override it.
+    /// Predicts a batch of windows in parallel over `config().threads`
+    /// chunks; every chunk reuses one [`ServeScratch`], so the per-window
+    /// cost is one [`predict_window_with`](Self::predict_window_with) plus
+    /// one output clone.
     ///
     /// # Errors
     ///
-    /// Stops at (and propagates) the first failing window.
+    /// Returns the error of the lowest-index failing window.
     fn predict_batch(&self, windows: &[Matrix]) -> Result<Vec<Prediction>> {
-        let mut scratch = ServeScratch::new();
-        windows.iter().map(|w| Ok(self.predict_window_with(w, &mut scratch)?.clone())).collect()
+        let mut out: Vec<Result<Prediction>> =
+            (0..windows.len()).map(|_| Ok(empty_prediction())).collect();
+        parallel::par_chunks_indexed(&mut out, self.config().threads, |start, chunk| {
+            let mut scratch = ServeScratch::new();
+            for (slot, window) in chunk.iter_mut().zip(windows.iter().skip(start)) {
+                *slot = self.predict_window_with(window, &mut scratch).cloned();
+            }
+        });
+        out.into_iter().collect()
+    }
+
+    /// Predicts and scores a labelled evaluation set.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`predict_batch`](Self::predict_batch), plus
+    /// [`crate::SmoreError::InvalidConfig`] for an empty set or mismatched
+    /// label counts.
+    fn evaluate(&self, windows: &[Matrix], labels: &[usize]) -> Result<EvalReport> {
+        if windows.len() != labels.len() || windows.is_empty() {
+            return Err(SmoreError::InvalidConfig {
+                what: format!("{} windows but {} labels", windows.len(), labels.len()),
+            });
+        }
+        let t0 = Instant::now();
+        let predictions = self.predict_batch(windows)?;
+        let infer_seconds = t0.elapsed().as_secs_f64();
+        let correct = predictions.iter().zip(labels).filter(|(p, &l)| p.label == l).count();
+        let ood = predictions.iter().filter(|p| p.is_ood).count();
+        Ok(EvalReport {
+            accuracy: correct as f32 / windows.len() as f32,
+            samples: windows.len(),
+            ood_fraction: ood as f32 / windows.len() as f32,
+            infer_seconds,
+        })
+    }
+
+    /// [`evaluate`](Self::evaluate) on the rows of `dataset` selected by
+    /// `indices`.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`evaluate`](Self::evaluate).
+    fn evaluate_indices(&self, dataset: &Dataset, indices: &[usize]) -> Result<EvalReport> {
+        let (windows, labels, _) = dataset.gather(indices);
+        self.evaluate(&windows, &labels)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Smore, SmoreConfig};
+    use crate::{DeltaSmore, QuantizedSmore, Smore, SmoreConfig, SnapshotDelta};
     use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
+    use smore_tensor::vecops::argmax;
 
-    fn fitted_pair() -> (smore_data::Dataset, Smore, crate::QuantizedSmore) {
-        let ds = generate(&GeneratorConfig {
-            name: "predictor-test".into(),
-            num_classes: 3,
-            channels: 2,
-            window_len: 16,
-            sample_rate_hz: 25.0,
-            domains: vec![
-                DomainSpec { subjects: vec![0], windows: 30 },
-                DomainSpec { subjects: vec![1], windows: 30 },
-            ],
-            shift_severity: 0.6,
-            seed: 11,
-        })
-        .unwrap();
-        let mut model = Smore::new(
-            SmoreConfig::builder()
-                .dim(512)
-                .channels(2)
-                .num_classes(3)
-                .epochs(5)
-                .threads(2)
-                .build()
-                .unwrap(),
-        )
-        .unwrap();
-        let all: Vec<usize> = (0..ds.len()).collect();
-        model.fit_indices(&ds, &all).unwrap();
-        let q = model.quantize().unwrap();
-        (ds, model, q)
+    /// A fitted dense model, its quantization and a delta with one
+    /// enrolled domain over it.
+    struct Fixture {
+        ds: Dataset,
+        dense: Smore,
+        quantized: QuantizedSmore,
+        delta: SnapshotDelta,
+    }
+
+    impl Fixture {
+        fn new() -> Self {
+            let ds = generate(&GeneratorConfig {
+                name: "predictor-test".into(),
+                num_classes: 3,
+                channels: 2,
+                window_len: 16,
+                sample_rate_hz: 25.0,
+                domains: vec![
+                    DomainSpec { subjects: vec![0], windows: 30 },
+                    DomainSpec { subjects: vec![1], windows: 30 },
+                ],
+                shift_severity: 0.6,
+                seed: 11,
+            })
+            .unwrap();
+            let mut dense = Smore::new(
+                SmoreConfig::builder()
+                    .dim(512)
+                    .channels(2)
+                    .num_classes(3)
+                    .epochs(5)
+                    .threads(2)
+                    .build()
+                    .unwrap(),
+            )
+            .unwrap();
+            let all: Vec<usize> = (0..ds.len()).collect();
+            dense.fit_indices(&ds, &all).unwrap();
+            let quantized = dense.quantize().unwrap();
+            let (w, l, _) = ds.gather(&(40..60).collect::<Vec<_>>());
+            let prep = dense.prepare_domain(&w, &l, &[]).unwrap();
+            let mut delta = SnapshotDelta::new(&quantized);
+            delta.enroll_domain(&quantized, &prep.model, &prep.descriptor, 7).unwrap();
+            Self { ds, dense, quantized, delta }
+        }
+
+        /// Sets the batch thread count of every backend.
+        fn set_threads(&mut self, threads: usize) {
+            self.dense.config.threads = threads;
+            self.quantized.config.threads = threads;
+        }
+
+        /// Runs `check(name, backend, domains served)` on the three
+        /// backends, each behind `&dyn Predictor`.
+        fn for_each_backend(&self, mut check: impl FnMut(&str, &dyn Predictor, usize)) {
+            let chained = DeltaSmore::new(&self.quantized, self.delta.domains());
+            check("dense", &self.dense, 2);
+            check("quantized", &self.quantized, 2);
+            check("chained", &chained, 3);
+        }
     }
 
     #[test]
-    fn trait_and_inherent_paths_agree_per_backend() {
-        let (ds, dense, quantized) = fitted_pair();
-        let mut scratch = ServeScratch::new();
-        for i in 0..6 {
-            let w = ds.window(i);
-            // Through the trait object...
-            for backend in [&dense as &dyn Predictor, &quantized as &dyn Predictor] {
-                let via_trait = backend.predict_window_with(w, &mut scratch).unwrap().clone();
-                assert_eq!(via_trait, backend.predict_window(w).unwrap());
-                assert_eq!(scratch.prediction(), &via_trait);
-                assert_eq!(
-                    via_trait.label,
-                    smore_tensor::vecops::argmax(scratch.scores()).unwrap()
-                );
-            }
-            // ...equals the backend's own inherent surface.
-            assert_eq!(
-                Predictor::predict_window(&dense, w).unwrap(),
-                dense.predict_window(w).unwrap()
-            );
-            assert_eq!(
-                Predictor::predict_window(&quantized, w).unwrap(),
-                quantized.predict_window(w).unwrap()
-            );
+    fn batch_matches_the_scratch_path_per_backend_and_thread_count() {
+        let mut fx = Fixture::new();
+        let (windows, _, _) = fx.ds.gather(&(0..10).map(|i| i * 5).collect::<Vec<_>>());
+        for threads in [1, 4] {
+            fx.set_threads(threads);
+            fx.for_each_backend(|name, backend, domains| {
+                let batch = backend.predict_batch(&windows).unwrap();
+                assert_eq!(batch.len(), windows.len(), "{name} at {threads} threads");
+                let mut scratch = ServeScratch::new();
+                for (w, expected) in windows.iter().zip(&batch) {
+                    let p = backend.predict_window_with(w, &mut scratch).unwrap().clone();
+                    assert_eq!(&p, expected, "{name} at {threads} threads");
+                    assert_eq!(scratch.prediction(), expected);
+                    assert_eq!(p.label, argmax(scratch.scores()).unwrap());
+                    assert_eq!(p.domain_similarities.len(), domains, "{name}");
+                    assert_eq!(&backend.predict_window(w).unwrap(), expected);
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn evaluate_counts_batch_labels_and_rejects_bad_inputs() {
+        let mut fx = Fixture::new();
+        let indices: Vec<usize> = (0..12).map(|i| i * 5).collect();
+        let (windows, labels, _) = fx.ds.gather(&indices);
+        for threads in [1, 4] {
+            fx.set_threads(threads);
+            fx.for_each_backend(|name, backend, _| {
+                let batch = backend.predict_batch(&windows).unwrap();
+                let correct = batch.iter().zip(&labels).filter(|(p, &l)| p.label == l).count();
+                let ood = batch.iter().filter(|p| p.is_ood).count();
+                let n = windows.len() as f32;
+                for report in [
+                    backend.evaluate(&windows, &labels).unwrap(),
+                    backend.evaluate_indices(&fx.ds, &indices).unwrap(),
+                ] {
+                    assert_eq!(report.samples, windows.len(), "{name} at {threads} threads");
+                    assert_eq!(report.accuracy, correct as f32 / n, "{name} at {threads} threads");
+                    assert_eq!(report.ood_fraction, ood as f32 / n, "{name} at {threads} threads");
+                }
+                for (w, l) in [(&windows[..0], &labels[..0]), (&windows[..2], &labels[..1])] {
+                    assert!(
+                        matches!(backend.evaluate(w, l), Err(SmoreError::InvalidConfig { .. })),
+                        "{name}: {} windows, {} labels",
+                        w.len(),
+                        l.len()
+                    );
+                }
+            });
         }
     }
 
     #[test]
     fn score_into_matches_prediction_argmax_and_num_classes() {
-        let (ds, dense, quantized) = fitted_pair();
+        let fx = Fixture::new();
         let mut scratch = ServeScratch::new();
         let mut scores = Vec::new();
-        for backend in [&dense as &dyn Predictor, &quantized as &dyn Predictor] {
+        fx.for_each_backend(|name, backend, _| {
             assert_eq!(backend.num_classes(), 3);
             for i in [0usize, 7, 31] {
-                let w = ds.window(i);
+                let w = fx.ds.window(i);
                 backend.score_into(w, &mut scratch, &mut scores).unwrap();
-                assert_eq!(scores.len(), 3);
-                assert!(scores.iter().all(|s| s.is_finite()));
+                assert_eq!(scores.len(), 3, "{name}");
+                assert!(scores.iter().all(|s| s.is_finite()), "{name}");
                 let p = backend.predict_window(w).unwrap();
-                assert_eq!(p.label, smore_tensor::vecops::argmax(&scores).unwrap());
+                assert_eq!(p.label, argmax(&scores).unwrap(), "{name}");
             }
-        }
-    }
-
-    #[test]
-    fn trait_batch_agrees_with_parallel_override() {
-        let (ds, dense, quantized) = fitted_pair();
-        let windows: Vec<Matrix> = (0..10).map(|i| ds.window(i).clone()).collect();
-        for backend in [&dense as &dyn Predictor, &quantized as &dyn Predictor] {
-            let batch = backend.predict_batch(&windows).unwrap();
-            assert_eq!(batch.len(), windows.len());
-            for (i, w) in windows.iter().enumerate() {
-                assert_eq!(batch[i], backend.predict_window(w).unwrap());
-            }
-        }
+        });
     }
 
     #[test]
@@ -353,9 +465,15 @@ mod tests {
                 .unwrap();
         let backend: &dyn Predictor = &model;
         let mut scratch = ServeScratch::new();
+        let window = Matrix::zeros(16, 2);
         assert!(matches!(
-            backend.predict_window_with(&Matrix::zeros(16, 2), &mut scratch),
-            Err(crate::SmoreError::NotFitted)
+            backend.predict_window_with(&window, &mut scratch),
+            Err(SmoreError::NotFitted)
         ));
+        assert!(matches!(
+            backend.score_into(&window, &mut scratch, &mut Vec::new()),
+            Err(SmoreError::NotFitted)
+        ));
+        assert!(matches!(backend.predict_batch(&[window]), Err(SmoreError::NotFitted)));
     }
 }

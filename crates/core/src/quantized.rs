@@ -32,14 +32,13 @@
 
 use std::f32::consts::FRAC_PI_2;
 
-use smore_data::Dataset;
 use smore_hdc::encoder::MultiSensorEncoder;
 use smore_packed::{PackedHypervector, PackedNgramEncoder, ResidualPacked};
 use smore_tensor::Matrix;
 
 use crate::config::SmoreConfig;
 use crate::predictor::{Predictor, ServeScratch};
-use crate::smore_model::{ChannelStats, EvalReport, Fitted, Prediction};
+use crate::smore_model::{ChannelStats, Fitted, Prediction};
 use crate::{DeltaSmore, Result, SmoreError};
 
 /// Recovers a dense-cosine estimate from a sign-quantized similarity.
@@ -65,17 +64,16 @@ pub(crate) fn clamped_nanos(d: std::time::Duration) -> u64 {
 
 /// A frozen, bit-packed SMORE model for quantized serving.
 ///
-/// Produced by [`Smore::quantize`](crate::Smore::quantize); exposes the
-/// same prediction surface ([`predict_window`](Self::predict_window),
-/// [`predict_batch`](Self::predict_batch), [`evaluate`](Self::evaluate))
-/// and returns the same [`Prediction`] type. `delta_max` and
-/// `domain_similarities` are reported on the recovered dense-cosine scale
-/// (see [`recover_cosine`]), so `δ*` keeps its dense calibration.
+/// Produced by [`Smore::quantize`](crate::Smore::quantize); serves through
+/// the same [`Predictor`] surface as the dense model and returns the same
+/// [`Prediction`] type. `delta_max` and `domain_similarities` are reported
+/// on the recovered dense-cosine scale (see [`recover_cosine`]), so `δ*`
+/// keeps its dense calibration.
 ///
 /// # Example
 ///
 /// ```
-/// use smore::{Smore, SmoreConfig};
+/// use smore::{Predictor, Smore, SmoreConfig};
 /// use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 ///
 /// # fn main() -> Result<(), smore::SmoreError> {
@@ -242,11 +240,6 @@ impl QuantizedSmore {
         Ok(())
     }
 
-    /// The dense configuration the model was quantized from.
-    pub fn config(&self) -> &SmoreConfig {
-        &self.config
-    }
-
     /// Hypervector dimensionality `d`.
     pub fn dim(&self) -> usize {
         self.config.dim
@@ -315,116 +308,22 @@ impl QuantizedSmore {
         scratch.query.fill_with(|i| (counts[i] as f32) - mean[i] * norm < 0.0);
         Ok(())
     }
-
-    /// Encodes one raw window straight into a packed query hypervector.
-    ///
-    /// See [`encode_query_into`](Self::encode_query_into) for the
-    /// threshold semantics; this wrapper allocates — serving loops should
-    /// go through [`predict_window_with`](Self::predict_window_with).
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoder errors for malformed windows.
-    pub fn encode_packed(&self, window: &Matrix) -> Result<PackedHypervector> {
-        let mut scratch = ServeScratch::new();
-        self.encode_query_into(window, &mut scratch)?;
-        Ok(scratch.query)
-    }
-
-    /// This model as the chained scorer with an empty overlay — the one
-    /// packed implementation of Algorithm 1 every entry point below runs.
-    fn scorer(&self) -> DeltaSmore<'_> {
-        DeltaSmore::new(self, &[])
-    }
-
-    /// Per-class ensemble scores for one window (the quantized
-    /// [`Predictor::score_into`] surface): `scores` is cleared and
-    /// refilled with `num_classes` entries; the predicted label is their
-    /// argmax.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoder errors for malformed windows.
-    pub fn score_into(
-        &self,
-        window: &Matrix,
-        scratch: &mut ServeScratch,
-        scores: &mut Vec<f32>,
-    ) -> Result<()> {
-        self.scorer().score_into(window, scratch, scores)
-    }
-
-    /// Predicts one window — Algorithm 1 entirely on packed operations,
-    /// reusing caller-owned scratch so the steady-state hot path performs
-    /// no heap allocation. The returned reference points into `scratch`
-    /// (also readable later through [`ServeScratch::prediction`]); clone
-    /// it to keep the prediction past the next call.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoder errors for malformed windows.
-    pub fn predict_window_with<'s>(
-        &self,
-        window: &Matrix,
-        scratch: &'s mut ServeScratch,
-    ) -> Result<&'s Prediction> {
-        self.scorer().predict_window_with(window, scratch)
-    }
-
-    /// Predicts one window — the allocating convenience wrapper around
-    /// [`predict_window_with`](Self::predict_window_with).
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoder errors for malformed windows.
-    pub fn predict_window(&self, window: &Matrix) -> Result<Prediction> {
-        self.scorer().predict_window(window)
-    }
-
-    /// Predicts a batch of windows in parallel; every worker thread reuses
-    /// one [`ServeScratch`] across its whole chunk, so the per-window cost
-    /// is allocation-free encoding plus one output clone.
-    ///
-    /// # Errors
-    ///
-    /// Propagates encoder errors for malformed windows.
-    pub fn predict_batch(&self, windows: &[Matrix]) -> Result<Vec<Prediction>> {
-        self.scorer().predict_batch(windows)
-    }
-
-    /// Predicts and scores a labelled evaluation set.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`predict_batch`](Self::predict_batch), plus
-    /// [`SmoreError::InvalidConfig`] for mismatched label counts.
-    pub fn evaluate(&self, windows: &[Matrix], labels: &[usize]) -> Result<EvalReport> {
-        self.scorer().evaluate(windows, labels)
-    }
-
-    /// Convenience wrapper: evaluate on the rows of `dataset` selected by
-    /// `indices`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`evaluate`](Self::evaluate).
-    pub fn evaluate_indices(&self, dataset: &Dataset, indices: &[usize]) -> Result<EvalReport> {
-        let (windows, labels, _) = dataset.gather(indices);
-        self.evaluate(&windows, &labels)
-    }
 }
 
 impl Predictor for QuantizedSmore {
-    fn num_classes(&self) -> usize {
-        self.config.num_classes
+    /// The dense configuration the model was quantized from.
+    fn config(&self) -> &SmoreConfig {
+        &self.config
     }
 
+    /// Algorithm 1 entirely on packed operations: this model chained with
+    /// an empty overlay, through the one packed scorer.
     fn predict_window_with<'s>(
         &self,
         window: &Matrix,
         scratch: &'s mut ServeScratch,
     ) -> Result<&'s Prediction> {
-        QuantizedSmore::predict_window_with(self, window, scratch)
+        DeltaSmore::new(self, &[]).predict_window_with(window, scratch)
     }
 
     fn score_into(
@@ -433,17 +332,7 @@ impl Predictor for QuantizedSmore {
         scratch: &mut ServeScratch,
         scores: &mut Vec<f32>,
     ) -> Result<()> {
-        QuantizedSmore::score_into(self, window, scratch, scores)
-    }
-
-    fn predict_window(&self, window: &Matrix) -> Result<Prediction> {
-        QuantizedSmore::predict_window(self, window)
-    }
-
-    /// Overrides the provided sequential batch with the thread-parallel
-    /// per-chunk-scratch implementation.
-    fn predict_batch(&self, windows: &[Matrix]) -> Result<Vec<Prediction>> {
-        QuantizedSmore::predict_batch(self, windows)
+        DeltaSmore::new(self, &[]).score_into(window, scratch, scores)
     }
 }
 
@@ -453,6 +342,7 @@ mod tests {
     use crate::Smore;
     use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
     use smore_data::split;
+    use smore_data::Dataset;
 
     fn small_config(channels: usize, classes: usize) -> SmoreConfig {
         SmoreConfig::builder()

@@ -5,7 +5,7 @@ use std::time::Instant;
 use smore_data::Dataset;
 use smore_hdc::encoder::MultiSensorEncoder;
 use smore_hdc::model::{FitReport, HdcClassifier, HdcClassifierConfig};
-use smore_tensor::{parallel, vecops, Matrix};
+use smore_tensor::{vecops, Matrix};
 
 use crate::centering::Centerer;
 use crate::config::{DomainInit, RangeMode, SmoreConfig};
@@ -82,7 +82,7 @@ pub struct DomainEnrollment {
     pub samples: usize,
 }
 
-/// Report returned by [`Smore::evaluate`].
+/// Report returned by [`Predictor::evaluate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalReport {
     /// Overall accuracy on the evaluation set.
@@ -219,11 +219,6 @@ impl Smore {
         config.validate()?;
         let encoder = MultiSensorEncoder::new(config.encoder_config(None))?;
         Ok(Self { config, encoder, fitted: None })
-    }
-
-    /// The model configuration.
-    pub fn config(&self) -> &SmoreConfig {
-        &self.config
     }
 
     /// Whether [`fit`](Self::fit) completed successfully.
@@ -445,83 +440,6 @@ impl Smore {
         self.fit(&windows, &labels, &domains)
     }
 
-    /// Predicts one window with full domain context — steps E–G of
-    /// Figure 2, Algorithm 1 end-to-end.
-    ///
-    /// # Errors
-    ///
-    /// - [`SmoreError::NotFitted`] before training.
-    /// - Encoder errors for malformed windows.
-    pub fn predict_window(&self, window: &Matrix) -> Result<Prediction> {
-        let fitted = self.state()?;
-        let mut q = self.encoder.encode_window(&fitted.scaler.apply(window))?.into_vec();
-        fitted.centerer.apply_one(&mut q);
-        Ok(self.predict_encoded(fitted, &q))
-    }
-
-    /// Predicts a batch of windows in parallel.
-    ///
-    /// # Errors
-    ///
-    /// - [`SmoreError::NotFitted`] before training.
-    /// - Encoder errors for malformed windows.
-    pub fn predict_batch(&self, windows: &[Matrix]) -> Result<Vec<Prediction>> {
-        let fitted = self.state()?;
-        let mut out: Vec<Result<Prediction>> = (0..windows.len())
-            .map(|_| {
-                Ok(Prediction {
-                    label: 0,
-                    is_ood: false,
-                    delta_max: 0.0,
-                    best_domain: 0,
-                    domain_similarities: Vec::new(),
-                })
-            })
-            .collect();
-        parallel::par_map_into(windows, &mut out, self.config.threads, |w| {
-            let mut q = self.encoder.encode_window(&fitted.scaler.apply(w))?.into_vec();
-            fitted.centerer.apply_one(&mut q);
-            Ok(self.predict_encoded(fitted, &q))
-        });
-        out.into_iter().collect()
-    }
-
-    /// Predicts and scores a labelled evaluation set.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`predict_batch`](Self::predict_batch), plus
-    /// [`SmoreError::InvalidConfig`] for mismatched label counts.
-    pub fn evaluate(&self, windows: &[Matrix], labels: &[usize]) -> Result<EvalReport> {
-        if windows.len() != labels.len() || windows.is_empty() {
-            return Err(SmoreError::InvalidConfig {
-                what: format!("{} windows but {} labels", windows.len(), labels.len()),
-            });
-        }
-        let t0 = Instant::now();
-        let predictions = self.predict_batch(windows)?;
-        let infer_seconds = t0.elapsed().as_secs_f64();
-        let correct = predictions.iter().zip(labels).filter(|(p, &l)| p.label == l).count();
-        let ood = predictions.iter().filter(|p| p.is_ood).count();
-        Ok(EvalReport {
-            accuracy: correct as f32 / windows.len() as f32,
-            samples: windows.len(),
-            ood_fraction: ood as f32 / windows.len() as f32,
-            infer_seconds,
-        })
-    }
-
-    /// Convenience wrapper: evaluate on the rows of `dataset` selected by
-    /// `indices`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`evaluate`](Self::evaluate).
-    pub fn evaluate_indices(&self, dataset: &Dataset, indices: &[usize]) -> Result<EvalReport> {
-        let (windows, labels, _) = dataset.gather(indices);
-        self.evaluate(&windows, &labels)
-    }
-
     /// Enrols a **new domain online** (§3.5–3.6 extended to streaming
     /// deployment): bundles a fresh descriptor `U_{K+1}` from the given
     /// windows and trains a new domain-specific model `M_{K+1}` with the
@@ -650,12 +568,13 @@ impl Smore {
         Ok(DomainEnrollment { model, descriptor, fit_report, samples: windows.len() })
     }
 
-    /// Freezes the fitted model into a bit-packed [`QuantizedSmore`]
-    /// serving model: domain classifiers, descriptors and the encoder
-    /// codebooks are sign-quantized to one bit per dimension, and every
-    /// inference-time hypervector operation becomes word-level logic
-    /// (XOR binding, popcount similarity). See [`crate::QuantizedSmore`]
-    /// for the accuracy/latency tradeoff.
+    /// Freezes the fitted model into a bit-packed
+    /// [`QuantizedSmore`](crate::QuantizedSmore) serving model: domain
+    /// classifiers, descriptors and the encoder codebooks are
+    /// sign-quantized to one bit per dimension, and every inference-time
+    /// hypervector operation becomes word-level logic (XOR binding,
+    /// popcount similarity). See [`crate::QuantizedSmore`] for the
+    /// accuracy/latency tradeoff.
     ///
     /// # Errors
     ///
@@ -704,21 +623,6 @@ impl Smore {
         verdict
     }
 
-    /// Algorithm 1 on an already encoded-and-centred query.
-    fn predict_encoded(&self, fitted: &Fitted, q: &[f32]) -> Prediction {
-        let (mut sims, mut weights) = (Vec::new(), Vec::new());
-        let (mut ensemble, mut scores) = (Vec::new(), Vec::new());
-        let verdict =
-            self.score_encoded_into(fitted, q, &mut sims, &mut weights, &mut ensemble, &mut scores);
-        Prediction {
-            label: vecops::argmax(&scores).unwrap_or(0),
-            is_ood: verdict.is_ood,
-            delta_max: verdict.delta_max,
-            best_domain: fitted.domain_tags[verdict.best_domain],
-            domain_similarities: sims,
-        }
-    }
-
     /// Encodes one window into the scratch's dense query: channel
     /// standardisation (into the reusable scaled buffer), dense n-gram
     /// encoding and mean-centring.
@@ -736,18 +640,28 @@ impl Smore {
         Ok(())
     }
 
-    /// Predicts one window through caller-owned scratch — the dense
-    /// backend of the unified [`Predictor`] surface. The returned
-    /// reference points into `scratch`; clone it to keep the prediction
-    /// past the next call. (Unlike the quantized backend, the dense
-    /// encoder itself still allocates internally; the scratch removes the
-    /// scoring-side allocations.)
+    fn state(&self) -> Result<&Fitted> {
+        self.fitted.as_ref().ok_or(SmoreError::NotFitted)
+    }
+}
+
+impl Predictor for Smore {
+    /// The model configuration.
+    fn config(&self) -> &SmoreConfig {
+        &self.config
+    }
+
+    /// Predicts one window with full domain context — steps E–G of
+    /// Figure 2, Algorithm 1 end-to-end — through caller-owned scratch.
+    /// (Unlike the packed backends, the dense encoder itself still
+    /// allocates internally; the scratch removes the scoring-side
+    /// allocations.)
     ///
     /// # Errors
     ///
     /// - [`SmoreError::NotFitted`] before training.
     /// - Encoder errors for malformed windows.
-    pub fn predict_window_with<'s>(
+    fn predict_window_with<'s>(
         &self,
         window: &Matrix,
         scratch: &'s mut ServeScratch,
@@ -766,15 +680,7 @@ impl Smore {
         Ok(&scratch.prediction)
     }
 
-    /// Per-class ensemble scores for one window (the dense
-    /// [`Predictor::score_into`] surface): `scores` is cleared and
-    /// refilled with `num_classes` entries; the predicted label is their
-    /// argmax.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`predict_window_with`](Self::predict_window_with).
-    pub fn score_into(
+    fn score_into(
         &self,
         window: &Matrix,
         scratch: &mut ServeScratch,
@@ -785,43 +691,6 @@ impl Smore {
         let ServeScratch { dense_query, sims, weights, ensemble, .. } = &mut *scratch;
         self.score_encoded_into(fitted, dense_query, sims, weights, ensemble, scores);
         Ok(())
-    }
-
-    fn state(&self) -> Result<&Fitted> {
-        self.fitted.as_ref().ok_or(SmoreError::NotFitted)
-    }
-}
-
-impl Predictor for Smore {
-    fn num_classes(&self) -> usize {
-        self.config.num_classes
-    }
-
-    fn predict_window_with<'s>(
-        &self,
-        window: &Matrix,
-        scratch: &'s mut ServeScratch,
-    ) -> Result<&'s Prediction> {
-        Smore::predict_window_with(self, window, scratch)
-    }
-
-    fn score_into(
-        &self,
-        window: &Matrix,
-        scratch: &mut ServeScratch,
-        scores: &mut Vec<f32>,
-    ) -> Result<()> {
-        Smore::score_into(self, window, scratch, scores)
-    }
-
-    fn predict_window(&self, window: &Matrix) -> Result<Prediction> {
-        Smore::predict_window(self, window)
-    }
-
-    /// Overrides the provided sequential batch with the thread-parallel
-    /// implementation.
-    fn predict_batch(&self, windows: &[Matrix]) -> Result<Vec<Prediction>> {
-        Smore::predict_batch(self, windows)
     }
 }
 

@@ -6,14 +6,17 @@
 //! CRC-32 integrity, and *bounds-checked* reads where every declared
 //! count is validated against the bytes actually present **before** any
 //! allocation happens (a hostile or corrupt length prefix must never size
-//! a buffer the input itself cannot back). This module holds the shared
-//! primitives; the artifact keeps its section-table layout on top, the
-//! wire protocol its frame layout.
+//! a buffer the input itself cannot back). This module is the one codec
+//! both decode with: the artifact writes and reads every section, and
+//! walks its section table, through [`WireWriter`] and [`WireReader`]; the
+//! wire protocol frames its messages with them. Artifact counts are `u64`
+//! ([`WireReader::count_u64`]), protocol counts `u32`
+//! ([`WireReader::count`]).
 //!
-//! [`WireReader`] deliberately mirrors the artifact cursor: `take` is the
-//! only primitive that touches the byte range, every typed read goes
-//! through it, and [`finish`](WireReader::finish) rejects trailing bytes
-//! so a payload is either consumed exactly or refused loudly.
+//! In [`WireReader`], `take` is the only primitive that touches the byte
+//! range, every typed read goes through it, and
+//! [`finish`](WireReader::finish) rejects trailing bytes so a payload is
+//! either consumed exactly or refused loudly.
 
 use std::fmt;
 use std::sync::OnceLock;
@@ -43,9 +46,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// A structural decode failure: what was being decoded and why it failed.
 ///
 /// Deliberately *not* a [`crate::SmoreError`] variant — the artifact maps
-/// wire failures into `CorruptArtifact` and the network protocol maps
-/// them into an on-wire error response; neither wants the other's
-/// vocabulary.
+/// wire failures into `CorruptArtifact` (the `From` conversion, with the
+/// context as the section) and the network protocol maps them into an
+/// on-wire error response; neither wants the other's vocabulary.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WireError {
     /// The payload or field being decoded (static context label).
@@ -113,6 +116,15 @@ impl WireWriter {
         self.buf.reserve(vs.len() * 4);
         for &v in vs {
             self.f32(v);
+        }
+    }
+
+    /// Appends a run of little-endian `u64` values (no length prefix —
+    /// write the count yourself first).
+    pub fn u64s(&mut self, vs: &[u64]) {
+        self.buf.reserve(vs.len() * 8);
+        for &v in vs {
+            self.u64(v);
         }
     }
 
@@ -219,6 +231,15 @@ impl<'a> WireReader<'a> {
         Ok(f32::from_le_bytes(self.take_array()?))
     }
 
+    /// Reads a `u64` length, index or tag and checks that it fits in
+    /// `usize`. It bounds no allocation by itself: a value that sizes one
+    /// goes through [`count_u64`](Self::count_u64) or is checked against
+    /// a bounded count.
+    pub fn len(&mut self, what: &str) -> WireResult<usize> {
+        let v = self.u64()?;
+        usize::try_from(v).map_err(|_| self.malformed(format!("{what} count {v} overflows usize")))
+    }
+
     /// Reads an item count declared as a `u32` and rejects it unless
     /// `count × min_bytes_per_item` still fits in the unread payload — so
     /// a crafted count can never size an allocation beyond the input's
@@ -226,6 +247,18 @@ impl<'a> WireReader<'a> {
     /// frame writes the checksum too).
     pub fn count(&mut self, what: &str, min_bytes_per_item: usize) -> WireResult<usize> {
         let n = self.u32()? as usize;
+        self.fits(what, n, min_bytes_per_item)
+    }
+
+    /// [`count`](Self::count) for a count declared as a `u64` (the
+    /// `.smore` artifact's width).
+    pub fn count_u64(&mut self, what: &str, min_bytes_per_item: usize) -> WireResult<usize> {
+        let n = self.len(what)?;
+        self.fits(what, n, min_bytes_per_item)
+    }
+
+    /// The bound check behind both count readers.
+    fn fits(&self, what: &str, n: usize, min_bytes_per_item: usize) -> WireResult<usize> {
         let remaining = self.remaining();
         let need = n.checked_mul(min_bytes_per_item.max(1));
         if need.is_none_or(|need| need > remaining) {
@@ -244,6 +277,18 @@ impl<'a> WireReader<'a> {
         let mut out = Vec::with_capacity(n);
         while let Some((chunk, rest)) = raw.split_first_chunk::<4>() {
             out.push(f32::from_le_bytes(*chunk));
+            raw = rest;
+        }
+        Ok(out)
+    }
+
+    /// Reads `n` u64 values; bounds-checked like [`f32s`](Self::f32s).
+    pub fn u64s(&mut self, n: usize) -> WireResult<Vec<u64>> {
+        let mut raw =
+            self.take(n.checked_mul(8).ok_or_else(|| self.malformed("u64 run length overflows"))?)?;
+        let mut out = Vec::with_capacity(n);
+        while let Some((chunk, rest)) = raw.split_first_chunk::<8>() {
+            out.push(u64::from_le_bytes(*chunk));
             raw = rest;
         }
         Ok(out)
@@ -291,6 +336,9 @@ mod tests {
         w.u32(3);
         w.f32s(&[1.0, -2.0, 3.5]);
         w.str_lp("hello");
+        w.u64(2);
+        w.u64s(&[u64::MAX, 0x0123_4567_89AB_CDEF]);
+        w.u64(5);
         let bytes = w.into_bytes();
 
         let mut r = WireReader::new(&bytes, "test");
@@ -302,6 +350,9 @@ mod tests {
         let n = r.count("f32", 4).unwrap();
         assert_eq!(r.f32s(n).unwrap(), vec![1.0, -2.0, 3.5]);
         assert_eq!(r.str_lp().unwrap(), "hello");
+        let n = r.count_u64("u64", 8).unwrap();
+        assert_eq!(r.u64s(n).unwrap(), vec![u64::MAX, 0x0123_4567_89AB_CDEF]);
+        assert_eq!(r.len("tag").unwrap(), 5);
         r.finish().unwrap();
     }
 
@@ -318,6 +369,23 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 42);
         let err = r.finish().unwrap_err();
         assert!(err.reason.contains("trailing"), "{err}");
+
+        // A failed read consumes nothing: the byte after it still reads.
+        let mut r = WireReader::new(&[1, 0, 0, 0, 0, 0, 0, 0, 5], "test");
+        assert_eq!(r.u64().unwrap(), 1);
+        assert!(r.f32().is_err(), "only one byte left");
+        assert_eq!(r.u8().unwrap(), 5);
+        r.finish().unwrap();
+
+        // A u64 run one byte short of its declared length.
+        let mut w = WireWriter::new();
+        w.u64s(&[7, 8, 9]);
+        let bytes = w.into_bytes();
+        let mut r = WireReader::new(&bytes[..23], "test");
+        let err = r.u64s(3).unwrap_err();
+        assert!(err.reason.contains("truncated"), "{err}");
+        assert_eq!(r.remaining(), 23, "the failed run consumed nothing");
+        assert_eq!(WireReader::new(&bytes, "test").u64s(3).unwrap(), vec![7, 8, 9]);
     }
 
     #[test]
@@ -331,6 +399,22 @@ mod tests {
         let mut r = WireReader::new(&bytes, "test");
         let err = r.count("values", 4).unwrap_err();
         assert!(err.reason.contains("exceeds"), "{err}");
+
+        // The u64 count over a two-word payload: u64::MAX items, and one
+        // item more than the payload holds, are refused the same way; an
+        // exact fit passes.
+        let payload = |declared: u64| {
+            let mut w = WireWriter::new();
+            w.u64(declared);
+            w.u64s(&[0, 0]);
+            w.into_bytes()
+        };
+        for declared in [u64::MAX, 3] {
+            let bytes = payload(declared);
+            let err = WireReader::new(&bytes, "test").count_u64("words", 8).unwrap_err();
+            assert!(err.reason.contains("exceeds"), "{err}");
+        }
+        assert_eq!(WireReader::new(&payload(2), "test").count_u64("words", 8).unwrap(), 2);
     }
 
     #[test]

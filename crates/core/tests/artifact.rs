@@ -9,7 +9,8 @@ use std::sync::OnceLock;
 use proptest::prelude::*;
 use smore::artifact::{self, ArtifactKind, FORMAT_VERSION, MAGIC};
 use smore::{
-    DeltaSmore, QuantizedSmore, ServeScratch, Smore, SmoreConfig, SmoreError, SnapshotDelta,
+    DeltaSmore, Prediction, Predictor, QuantizedSmore, ServeScratch, Smore, SmoreConfig,
+    SmoreError, SnapshotDelta,
 };
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_data::Dataset;
@@ -387,6 +388,54 @@ const GOLDEN_CHAINED_SCORE_BITS: [[u32; 3]; 12] = [
     [0x3ee5_f08f, 0xbe9e_3f95, 0xbed7_9e54],
 ];
 
+/// The `to_bits()` of dense `score_into` on the fixture's training run, over
+/// the same 12 windows. The all-zero rows are queries whose Eq. 3 weights
+/// all vanish, so the ensembled model is the zero vector.
+const GOLDEN_DENSE_SCORE_BITS: [[u32; 3]; 12] = [
+    [0x3f4e_9103, 0xbf25_6e5d, 0xbf23_1cd2],
+    [0x0000_0000, 0x0000_0000, 0x0000_0000],
+    [0x0000_0000, 0x0000_0000, 0x0000_0000],
+    [0x0000_0000, 0x0000_0000, 0x0000_0000],
+    [0x3f49_140c, 0xbf2e_b2f1, 0xbe88_5d34],
+    [0x0000_0000, 0x0000_0000, 0x0000_0000],
+    [0x0000_0000, 0x0000_0000, 0x0000_0000],
+    [0x3f4f_7abd, 0xbf37_d668, 0xbe8d_86dd],
+    [0x0000_0000, 0x0000_0000, 0x0000_0000],
+    [0x3f35_ad13, 0xbf14_04d1, 0xbec9_7a02],
+    [0x3f30_5048, 0xbf02_2e37, 0xbef3_8925],
+    [0x3f37_f27b, 0xbf09_f029, 0xbefd_7648],
+];
+
+/// [`batch_hash`] of `predict_batch` on the same 12 windows, per backend:
+/// the dense model, the committed fixture, and the fixture chained with the
+/// one-domain delta. Computed when the dense batch still ran its own
+/// allocating path and the packed ones the chained scorer's own batch.
+const GOLDEN_DENSE_BATCH_HASH: u64 = 0x5ed4_ea4b_fad3_6cf8;
+const GOLDEN_BASE_BATCH_HASH: u64 = 0x92be_65c4_a1ec_321a;
+const GOLDEN_CHAINED_BATCH_HASH: u64 = 0x7587_34ac_51b8_6324;
+
+/// FNV-1a (64-bit) over a batch of predictions: per prediction its label,
+/// OOD flag, `delta_max` bits, best domain and the bits of every domain
+/// similarity.
+fn batch_hash(predictions: &[Prediction]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            hash ^= u64::from(b);
+            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for p in predictions {
+        eat(&(p.label as u64).to_le_bytes());
+        eat(&[u8::from(p.is_ood)]);
+        eat(&p.delta_max.to_bits().to_le_bytes());
+        eat(&(p.best_domain as u64).to_le_bytes());
+        eat(&(p.domain_similarities.len() as u64).to_le_bytes());
+        p.domain_similarities.iter().for_each(|s| eat(&s.to_bits().to_le_bytes()));
+    }
+    hash
+}
+
 /// The committed golden fixture: regenerating the artifact from the same
 /// deterministic training run must reproduce the committed bytes exactly,
 /// and the committed bytes must load into a model that predicts exactly
@@ -428,7 +477,8 @@ fn golden_fixture_locks_the_format() {
     // Nothing above pins scores across commits: the fresh and the loaded
     // model run the same scorer. Pin its output bits on the committed
     // fixture, alone and chained with a one-domain delta enrolled on fixed
-    // gain-1.5 windows.
+    // gain-1.5 windows, and the dense model's that the fixture was
+    // quantized from.
     let enrol: Vec<Matrix> = (0..24).map(|i| ds.window(i * 3).scale(1.5)).collect();
     let labels: Vec<usize> = (0..24).map(|i| ds.label(i * 3)).collect();
     let prep = dense.prepare_domain(&enrol, &labels, &[]).unwrap();
@@ -444,5 +494,17 @@ fn golden_fixture_locks_the_format() {
         chained.score_into(w, &mut scratch, &mut scores).unwrap();
         let bits: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
         assert_eq!(bits, GOLDEN_CHAINED_SCORE_BITS[i], "chained score bits, window {i}");
+        dense.score_into(w, &mut scratch, &mut scores).unwrap();
+        let bits: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
+        assert_eq!(bits, GOLDEN_DENSE_SCORE_BITS[i], "dense score bits, window {i}");
+    }
+    // Pin every backend's batch path too, whole predictions included.
+    let batches = [
+        ("dense", dense.predict_batch(&windows).unwrap(), GOLDEN_DENSE_BATCH_HASH),
+        ("fixture", loaded.predict_batch(&windows).unwrap(), GOLDEN_BASE_BATCH_HASH),
+        ("chained", chained.predict_batch(&windows).unwrap(), GOLDEN_CHAINED_BATCH_HASH),
+    ];
+    for (name, predictions, expected) in batches {
+        assert_eq!(batch_hash(&predictions), expected, "{name} predict_batch hash");
     }
 }

@@ -243,6 +243,34 @@ fn delta_single_bit_flips_always_return_corrupt_artifact() {
     }
 }
 
+/// Lengths and counts a crafted file declares are bounded against the
+/// bytes present without overflowing: a section length whose end passes
+/// `u64::MAX`, and a class count that overflows the per-domain byte bound,
+/// are both typed corruption errors (with valid checksums), never an
+/// arithmetic-overflow panic.
+#[test]
+fn delta_crafted_lengths_are_refused_without_overflow() {
+    let (_, _, delta, _) = chained_fixture();
+    let bytes = delta.to_artifact_bytes();
+
+    // The first section header sits right after the 16-byte container
+    // header: `id | crc | len`, so its length is bytes 24..32.
+    let mut huge = bytes.clone();
+    huge[24..32].copy_from_slice(&(u64::MAX - 8).to_le_bytes());
+    let err = SnapshotDelta::from_artifact_bytes(&huge).unwrap_err();
+    assert!(matches!(err, SmoreError::CorruptArtifact { .. }), "{err}");
+
+    // That first section is the metadata: `dim | num_classes | …`. Declare
+    // a class count near `u64::MAX` and re-checksum the payload.
+    let meta_len = u64::from_le_bytes(bytes[24..32].try_into().unwrap()) as usize;
+    let mut classes = bytes.clone();
+    classes[40..48].copy_from_slice(&(u64::MAX - 4).to_le_bytes());
+    let crc = smore::wire::crc32(&classes[32..32 + meta_len]);
+    classes[20..24].copy_from_slice(&crc.to_le_bytes());
+    let err = SnapshotDelta::from_artifact_bytes(&classes).unwrap_err();
+    assert!(matches!(err, SmoreError::CorruptArtifact { .. }), "{err}");
+}
+
 /// A crafted container that repeats a section (count bumped, copy
 /// appended) must be rejected as a duplicate, and kind confusion between
 /// delta and model artifacts is a typed refusal in both directions.

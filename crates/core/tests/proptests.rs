@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use smore::ood::OodDetector;
 use smore::quantized::recover_cosine;
 use smore::test_time::{ensemble_weights, ensemble_weights_powered};
-use smore::{Centerer, QuantizedSmore, Smore, SmoreConfig};
+use smore::{Centerer, Predictor, QuantizedSmore, Smore, SmoreConfig};
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_data::split;
 use smore_tensor::{init, Matrix};

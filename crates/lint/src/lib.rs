@@ -25,9 +25,9 @@
 //! covers the next code line; `allow-file` covers the whole file. A
 //! pragma without a reason is itself a finding.
 //!
-//! No dependencies, no `syn` — a hand-rolled [`scrub`] lexer is enough
-//! because every rule is a token-level property (the same philosophy
-//! as `smore::wire`'s hand-rolled codec).
+//! No dependencies, no `syn` — a hand-rolled [`scrub`](mod@scrub) lexer
+//! is enough because every rule is a token-level property (the same
+//! philosophy as `smore::wire`'s hand-rolled codec).
 
 #![forbid(unsafe_code)]
 

@@ -1,7 +1,7 @@
 //! A line-oriented, comment/string-aware scanner for Rust source.
 //!
 //! `smore_lint` deliberately does not parse Rust — no `syn`, no proc
-//! macros, no dependencies (the same philosophy as [`smore::wire`]'s
+//! macros, no dependencies (the same philosophy as `smore::wire`'s
 //! hand-rolled codec). Instead this module lexes just enough of the
 //! language to split every source line into its *code* and *comment*
 //! halves with string/char-literal contents blanked out, so the rule

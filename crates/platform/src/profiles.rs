@@ -58,7 +58,7 @@ pub fn packed_encode(
 /// packed operations): packed encode, `K` descriptor XOR+popcount
 /// similarities (2 word-ops per word), `K × classes` residual-plane
 /// popcount dots for the per-query test-time ensemble (one sweep per
-/// [`CLASS_PLANES`] plane) and the tiny `K²·classes` Gram epilogue — the
+/// `CLASS_PLANES` plane) and the tiny `K²·classes` Gram epilogue — the
 /// word-level arithmetic behind the quantized serving savings.
 pub fn packed_smore_infer(
     n: usize,

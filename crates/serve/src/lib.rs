@@ -17,7 +17,8 @@
 //!   tenant's adaptation state and scratch stay core-local), each worker
 //!   serving its queue one job at a time in arrival order (shared-base
 //!   predicts straight through
-//!   [`QuantizedSmore::predict_window_with`](smore::QuantizedSmore::predict_window_with)),
+//!   [`Predictor::predict_window_with`](smore::Predictor::predict_window_with)
+//!   on the shared [`QuantizedSmore`](smore::QuantizedSmore)),
 //!   and bounded per-worker queues that answer `Overloaded` instead of
 //!   buffering without bound.
 //! - [`client`] — a blocking client with synchronous and pipelined

@@ -55,7 +55,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use smore::{PredictTimings, QuantizedSmore, ServeScratch, SmoreError};
+use smore::{PredictTimings, Predictor, QuantizedSmore, ServeScratch, SmoreError};
 use smore_obs::{
     debug, error, warn, Event, EventJournal, EventKind, Stage, StageSet, StatsSnapshot,
 };

@@ -8,6 +8,7 @@ use std::net::TcpListener;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
+use smore::Predictor;
 use smore_data::Dataset;
 use smore_obs::EventJournal;
 use smore_serve::{

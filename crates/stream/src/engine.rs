@@ -48,7 +48,7 @@ use std::time::Instant;
 use smore::artifact::{self, ArtifactKind};
 use smore::delta::DeltaDomain;
 use smore::{
-    DeltaEnrollmentRecord, DeltaSmore, QuantizedSmore, ServeScratch, Smore, SmoreError,
+    DeltaEnrollmentRecord, DeltaSmore, Predictor, QuantizedSmore, ServeScratch, Smore, SmoreError,
     SnapshotDelta,
 };
 use smore_hdc::model::HdcClassifier;

@@ -24,7 +24,7 @@
 //!    [`smore::SnapshotDelta`], never to the shared base.
 //!
 //! A single stream is a fleet of one: open one session. Concept-drift
-//! input streams for exercising all of this live in [`smore_data::stream`].
+//! input streams for exercising all of this live in `smore_data::stream`.
 //! [`SessionStore`] in [`store`] bounds how many sessions stay resident:
 //! least-recently-used tenants are suspended to tiny `DeltaV1` artifacts
 //! and lazily rehydrated on their next request.

@@ -16,7 +16,7 @@
 //! cargo run --release --example model_artifacts
 //! ```
 
-use smore::{QuantizedSmore, Smore, SmoreConfig};
+use smore::{Predictor, QuantizedSmore, Smore, SmoreConfig};
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_data::split;
 use smore_data::stream::{concept_drift_stream, DriftSegment, StreamConfig};

@@ -6,7 +6,7 @@
 //! cargo run --release --example ood_monitor
 //! ```
 
-use smore::{Smore, SmoreConfig};
+use smore::{Predictor, Smore, SmoreConfig};
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_data::split;
 

@@ -12,7 +12,7 @@
 
 use std::time::Instant;
 
-use smore::{Smore, SmoreConfig};
+use smore::{Predictor, Smore, SmoreConfig};
 use smore_data::presets::{self, PresetProfile};
 use smore_data::split;
 

@@ -5,7 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use smore::{Smore, SmoreConfig};
+use smore::{Predictor, Smore, SmoreConfig};
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_data::split;
 

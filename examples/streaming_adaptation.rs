@@ -9,7 +9,7 @@
 //! cargo run --release --example streaming_adaptation
 //! ```
 
-use smore::{Smore, SmoreConfig};
+use smore::{Predictor, Smore, SmoreConfig};
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_data::split;
 use smore_data::stream::{concept_drift_stream, DriftSegment, StreamConfig};

@@ -3,7 +3,7 @@
 //! path.
 
 use smore::pipeline::{TaskMeta, WindowClassifier};
-use smore::{QuantizedSmore, Smore, SmoreConfig, SmoreError};
+use smore::{Predictor, QuantizedSmore, Smore, SmoreConfig, SmoreError};
 use smore_baselines::baseline_hd::{BaselineHd, BaselineHdConfig};
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_hdc::encoder::{EncoderConfig, MultiSensorEncoder};

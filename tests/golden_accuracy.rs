@@ -18,7 +18,7 @@
 //! a code change moved the numbers — recalibrate deliberately or fix the
 //! regression.
 
-use smore::{Smore, SmoreConfig};
+use smore::{Predictor, Smore, SmoreConfig};
 use smore_data::presets::{self, PresetProfile};
 use smore_data::split;
 

@@ -3,7 +3,7 @@
 //! protocol.
 
 use smore::pipeline::{self, TaskMeta, WindowClassifier};
-use smore::{Smore, SmoreConfig};
+use smore::{Predictor, Smore, SmoreConfig};
 use smore_baselines::baseline_hd::{BaselineHd, BaselineHdConfig};
 use smore_baselines::cnn::CnnConfig;
 use smore_baselines::domino::{Domino, DominoConfig};

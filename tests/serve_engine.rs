@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use smore::{Smore, SmoreConfig};
+use smore::{Predictor, Smore, SmoreConfig};
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_data::split;
 use smore_data::stream::{concept_drift_stream, DriftSegment, StreamConfig};

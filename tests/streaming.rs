@@ -4,7 +4,7 @@
 //! online into the tenant's delta, and post-enrolment accuracy on the new
 //! domain improves by at least 10 points over the shared base.
 
-use smore::{Smore, SmoreConfig};
+use smore::{Predictor, Smore, SmoreConfig};
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_data::split;
 use smore_data::stream::{concept_drift_stream, DriftSegment, StreamConfig};

@@ -3,7 +3,7 @@
 //! domain-specific training, descriptors and test-time ensembling — produces
 //! an above-chance classifier on its *source* domains.
 
-use smore::{Smore, SmoreConfig};
+use smore::{Predictor, Smore, SmoreConfig};
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 
 #[test]
