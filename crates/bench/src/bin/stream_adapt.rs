@@ -16,14 +16,14 @@
 
 use std::time::Instant;
 
-use smore::{Smore, SmoreConfig};
+use smore::{DeltaEnrollmentRecord, Smore, SmoreConfig};
 use smore_bench::{
     latency_percentiles, pct, predictor_accuracy, print_table, secs, write_bench_json,
 };
 use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
 use smore_data::split;
 use smore_data::stream::{concept_drift_stream, DriftSegment, StreamConfig};
-use smore_stream::{AdaptationEvent, LabelStrategy, ServeEngine, StreamingConfig};
+use smore_stream::{LabelStrategy, ServeEngine, StreamingConfig};
 
 struct Args {
     dim: usize,
@@ -63,7 +63,7 @@ fn write_json(
     path: &str,
     args: &Args,
     report: &StreamReport,
-    events: &[AdaptationEvent],
+    events: &[DeltaEnrollmentRecord],
 ) -> std::io::Result<()> {
     let event_rows: Vec<String> = events
         .iter()
@@ -71,7 +71,11 @@ fn write_json(
             format!(
                 "    {{\"tag\": {}, \"step\": {}, \"enrolled_windows\": {}, \
                  \"enroll_seconds\": {:.6}, \"swap_seconds\": {:.6}}}",
-                e.tag, e.step, e.enrolled_windows, e.enroll_seconds, e.swap_seconds
+                e.tag,
+                e.step,
+                e.enrolled_windows,
+                e.enroll_nanos as f64 / 1e9,
+                e.swap_nanos as f64 / 1e9
             )
         })
         .collect();
@@ -199,8 +203,8 @@ fn main() {
                 e.tag.to_string(),
                 e.step.to_string(),
                 e.enrolled_windows.to_string(),
-                secs(e.enroll_seconds),
-                secs(e.swap_seconds),
+                secs(e.enroll_nanos as f64 / 1e9),
+                secs(e.swap_nanos as f64 / 1e9),
             ]
         })
         .collect();

@@ -58,7 +58,7 @@ use smore_tensor::Matrix;
 
 use crate::centering::Centerer;
 use crate::config::{DomainInit, RangeMode, SmoreConfig};
-use crate::delta::{DeltaDomain, DeltaEnrollmentRecord, DeltaMeta, SnapshotDelta};
+use crate::delta::{DeltaEnrollmentRecord, DeltaMeta, PackedDomain, SnapshotDelta};
 use crate::descriptor::DomainDescriptors;
 use crate::smore_model::{ChannelStats, Fitted, Smore};
 use crate::wire::{crc32, WireReader, WireResult, WireWriter};
@@ -530,7 +530,9 @@ fn read_vector(c: &mut WireReader<'_>, dim: usize) -> Result<PackedHypervector> 
     PackedHypervector::from_words(dim, words).map_err(|e| c.malformed(e.to_string()).into())
 }
 
-fn encode_packed_vectors(vectors: &[PackedHypervector]) -> Vec<u8> {
+fn encode_packed_vectors<'a>(
+    vectors: impl ExactSizeIterator<Item = &'a PackedHypervector>,
+) -> Vec<u8> {
     let mut p = WireWriter::new();
     p.u64(vectors.len() as u64);
     for v in vectors {
@@ -615,30 +617,38 @@ fn read_classes(
 // ---------------------------------------------------------------------------
 
 fn quantized_to_bytes(model: &QuantizedSmore) -> Vec<u8> {
+    let domains = &model.domains;
     let mut classes_payload = WireWriter::new();
-    classes_payload.u64(model.domain_classes.len() as u64);
+    classes_payload.u64(domains.len() as u64);
     classes_payload.u64(model.config.num_classes as u64);
-    for domain in &model.domain_classes {
-        write_classes(&mut classes_payload, domain);
+    for domain in domains {
+        write_classes(&mut classes_payload, &domain.classes);
     }
+    // Per class, the row-major `K × K` Gram matrix: entry (j, m) is the
+    // later domain's growth row at the earlier index.
     let mut gram_payload = WireWriter::new();
-    gram_payload.u64(model.class_gram.len() as u64);
-    gram_payload.u64(model.domain_classes.len() as u64);
-    for gram in &model.class_gram {
-        gram_payload.f32s(gram);
+    gram_payload.u64(model.config.num_classes as u64);
+    gram_payload.u64(domains.len() as u64);
+    for c in 0..model.config.num_classes {
+        for j in 0..domains.len() {
+            for m in 0..domains.len() {
+                // smore-lint: allow(panic_path) max(j, m) < K; every packed domain holds num_classes growth rows, and domain i's has i + 1 entries
+                gram_payload.f32(domains[j.max(m)].gram_rows[c][j.min(m)]);
+            }
+        }
     }
     let sections = vec![
         (SEC_CONFIG, encode_config(&model.config)),
         (SEC_SCALER, encode_scaler(&model.scaler)),
         (SEC_CENTERING, encode_mean(&model.mean)),
-        (SEC_DOMAIN_TAGS, encode_tags(&model.domain_tags)),
+        (SEC_DOMAIN_TAGS, encode_tags(&model.domain_tags().collect::<Vec<_>>())),
         (SEC_ENCODER_RANGE, encode_value_range(&model.encoder.config().range)),
-        (SEC_PACKED_DESCRIPTORS, encode_packed_vectors(&model.descriptors)),
+        (SEC_PACKED_DESCRIPTORS, encode_packed_vectors(domains.iter().map(|d| &d.descriptor))),
         (SEC_PACKED_CLASSES, classes_payload.into_bytes()),
         (SEC_CLASS_GRAM, gram_payload.into_bytes()),
         (SEC_PACKED_CODEBOOKS, encode_codebooks(model.encoder.codebooks())),
         (SEC_PACKED_CODEBOOKS_ROT, encode_codebooks(model.encoder.codebooks_rot())),
-        (SEC_PACKED_SIGNATURES, encode_packed_vectors(model.encoder.signatures())),
+        (SEC_PACKED_SIGNATURES, encode_packed_vectors(model.encoder.signatures().iter())),
     ];
     write_container(ArtifactKind::Quantized, &sections)
 }
@@ -695,7 +705,9 @@ fn quantized_from_bytes(bytes: &[u8]) -> Result<QuantizedSmore> {
         .collect::<Result<Vec<_>>>()?;
     c.finish()?;
 
-    // Per-class Gram matrices.
+    // Per-class Gram matrices, row-major `K × K`: each domain keeps its row
+    // up to the diagonal as its growth row, and every entry must equal its
+    // mirror across the diagonal to the bit.
     let mut c = require(&sections, SEC_CLASS_GRAM)?;
     let gram_classes = c.len("class")?;
     let gram_k = c.len("domain")?;
@@ -707,8 +719,19 @@ fn quantized_from_bytes(bytes: &[u8]) -> Result<QuantizedSmore> {
             ))
             .into());
     }
-    let class_gram =
-        (0..gram_classes).map(|_| c.f32s(gram_k * gram_k)).collect::<WireResult<Vec<_>>>()?;
+    let mut gram_rows: Vec<Vec<Vec<f32>>> = vec![Vec::new(); num_domains];
+    for _ in 0..num_classes {
+        let matrix = c.f32s(num_domains * num_domains)?;
+        let bits = |j: usize, m: usize| matrix.get(j * num_domains + m).map(|v| v.to_bits());
+        for (j, rows) in gram_rows.iter_mut().enumerate() {
+            if (0..j).any(|m| bits(j, m) != bits(m, j)) {
+                return Err(c
+                    .malformed(format!("gram row {j} is not mirrored in its column"))
+                    .into());
+            }
+            rows.push(matrix.iter().skip(j * num_domains).take(j + 1).copied().collect());
+        }
+    }
     c.finish()?;
 
     // Descriptors.
@@ -721,6 +744,18 @@ fn quantized_from_bytes(bytes: &[u8]) -> Result<QuantizedSmore> {
     c.finish()?;
 
     let domain_tags = decode_tags(require(&sections, SEC_DOMAIN_TAGS)?, num_domains)?;
+    let domains = domain_classes
+        .into_iter()
+        .zip(gram_rows)
+        .zip(descriptors)
+        .zip(domain_tags)
+        .map(|(((classes, gram_rows), descriptor), tag)| PackedDomain {
+            tag,
+            classes,
+            descriptor,
+            gram_rows,
+        })
+        .collect();
 
     // Encoder: stored codebooks verbatim (bit-exactness), validated by
     // PackedNgramEncoder::from_parts.
@@ -739,16 +774,7 @@ fn quantized_from_bytes(bytes: &[u8]) -> Result<QuantizedSmore> {
     )
     .map_err(|e| SmoreError::corrupt("packed_codebooks", e.to_string()))?;
 
-    Ok(QuantizedSmore {
-        config,
-        scaler,
-        encoder,
-        mean,
-        domain_classes,
-        descriptors,
-        class_gram,
-        domain_tags,
-    })
+    Ok(QuantizedSmore { config, scaler, encoder, mean, domains })
 }
 
 impl QuantizedSmore {
@@ -1014,7 +1040,7 @@ fn delta_from_bytes(bytes: &[u8]) -> Result<SnapshotDelta> {
     let min_domain_bytes =
         words_per.saturating_mul(8).saturating_add(8).saturating_add(num_classes);
     let num_domains = c.count_u64("delta domain", min_domain_bytes)?;
-    let mut domains: Vec<DeltaDomain> = Vec::with_capacity(num_domains);
+    let mut domains: Vec<PackedDomain> = Vec::with_capacity(num_domains);
     for i in 0..num_domains {
         let tag = c.len("tag")?;
         if base_tags.contains(&tag) || domains.iter().any(|d| d.tag == tag) {
@@ -1027,7 +1053,7 @@ fn delta_from_bytes(bytes: &[u8]) -> Result<SnapshotDelta> {
         let row_len = base_domains + i + 1;
         let gram_rows =
             (0..num_classes).map(|_| c.f32s(row_len)).collect::<WireResult<Vec<Vec<f32>>>>()?;
-        domains.push(DeltaDomain { tag, classes, descriptor, gram_rows });
+        domains.push(PackedDomain { tag, classes, descriptor, gram_rows });
     }
     c.finish()?;
 

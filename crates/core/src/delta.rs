@@ -7,27 +7,28 @@
 //! is ~half a terabyte of duplicated state.
 //!
 //! A [`SnapshotDelta`] stores only what a tenant actually *adds* to the
-//! base: per enrolled domain, the residual-binarized class planes, the
-//! sign-packed descriptor, and the Gram *growth* — the new row of dots
-//! each enrolment appends to every per-class Gram matrix. [`DeltaSmore`]
-//! then serves base + delta chained, without ever materialising the
-//! combined model:
+//! base: its enrolled domains, each a [`PackedDomain`] — the same record a
+//! [`QuantizedSmore`] holds for each of its fitted domains: the
+//! residual-binarized class planes, the sign-packed descriptor, and per
+//! class the Gram *growth* row, the dots against every earlier domain.
+//! [`DeltaSmore`] then serves base + delta chained, without ever
+//! materialising the combined model:
 //!
-//! - descriptor similarities walk the base descriptors then the delta
-//!   descriptors, in enrolment order — the exact sequence the full clone
-//!   holds after the same enrolments;
-//! - the Eq. 3 class score needs `dot(Q, C_k)` per domain (base planes
-//!   come from the shared model, delta planes from the overlay) and the
-//!   ensemble norm `Σ w_j w_m ⟨C_j, C_m⟩`, whose Gram entries route to
-//!   the base matrix when both domains are base domains and to the later
-//!   domain's stored growth row otherwise.
+//! - descriptor similarities walk the base domains then the delta
+//!   domains, in enrolment order;
+//! - the Eq. 3 class score needs `dot(Q, C_k)` per domain and the
+//!   ensemble norm `Σ w_j w_m ⟨C_j, C_m⟩`, whose Gram entry is the later
+//!   domain's growth row at the earlier domain's index, for base and delta
+//!   domains alike.
 //!
 //! [`DeltaSmore`] is the only packed scorer: a [`QuantizedSmore`] scores
-//! as its own base chained with an empty overlay. Every floating-point
-//! operation happens in the same order on the same values as scoring a
-//! full clone that enrolled the same domains
-//! ([`QuantizedSmore::enroll_domain`]), so chained predictions are
-//! **bit-exact** with it (property-tested in `tests/delta.rs`).
+//! as its own base chained with an empty overlay. One packer builds every
+//! [`PackedDomain`], for quantization and tenant enrolment alike, so the
+//! chained scorer sees the same domains, and performs the same
+//! floating-point operations in the same order, as scoring a dense model
+//! that enrolled the same domains and was quantized again: chained
+//! predictions are **bit-exact** with it (property-tested in
+//! `tests/delta.rs`).
 //!
 //! Deltas also persist: [`SnapshotDelta::to_artifact_bytes`] writes a
 //! `DeltaV1` `.smore` container (see [`crate::artifact`]) a few KiB in
@@ -51,9 +52,10 @@ use crate::test_time::ensemble_weights_into;
 use crate::{QuantizedSmore, Result, SmoreError};
 
 /// One enrolment a tenant performed, as persisted in a `DeltaV1`
-/// artifact. Mirrors `smore_stream`'s `AdaptationEvent` with durations in
-/// integer nanoseconds (the artifact stores no floats it does not have
-/// to), so an evicted-then-rehydrated session keeps its full history.
+/// artifact — also the enrolment history a `smore_stream` session reports
+/// and returns from the ingest that enrolled. Durations are integer
+/// nanoseconds (the artifact stores no floats it does not have to), so an
+/// evicted-then-rehydrated session keeps its history exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaEnrollmentRecord {
     /// The domain tag this enrolment created.
@@ -83,25 +85,96 @@ pub struct DeltaMeta {
     pub records: Vec<DeltaEnrollmentRecord>,
 }
 
-/// One enrolled domain's contribution on top of the base model.
+/// One domain in packed form: what a [`QuantizedSmore`] holds for each of
+/// its fitted domains and a [`SnapshotDelta`] for each domain a tenant
+/// enrolled.
 #[derive(Debug, Clone)]
-pub struct DeltaDomain {
+pub struct PackedDomain {
     pub(crate) tag: usize,
     /// Residual-binarized class hypervectors, one per class.
     pub(crate) classes: Vec<ResidualPacked>,
     /// The sign-packed domain descriptor `U`.
     pub(crate) descriptor: PackedHypervector,
-    /// Per class, this domain's Gram growth row: `⟨C_j, C_new⟩` for every
-    /// earlier domain `j` (base first, then prior delta domains, in
-    /// order) followed by the self-dot — exactly the dots the full-clone
-    /// `enroll_domain` computes, in the same order.
+    /// Per class, this domain's Gram growth row: `⟨C_j, C_self⟩` for every
+    /// earlier domain `j` (base first, then a tenant's earlier domains, in
+    /// order) followed by the self-dot.
     pub(crate) gram_rows: Vec<Vec<f32>>,
 }
 
-impl DeltaDomain {
+impl PackedDomain {
     /// The external tag this domain was enrolled under.
     pub fn tag(&self) -> usize {
         self.tag
+    }
+
+    /// Packs a trained domain after the domains `base` then `earlier`: the
+    /// class hypervectors are residual-binarized, the descriptor is
+    /// sign-packed, and per class the growth row takes `⟨C_j, C_new⟩` for
+    /// every prior domain `j`, in order, then the self-dot.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SmoreError::InvalidConfig`] when the model shape or
+    /// descriptor dimension disagrees with `config`, or the tag is already
+    /// enrolled in `base` or `earlier`.
+    pub(crate) fn pack(
+        base: &[PackedDomain],
+        earlier: &[PackedDomain],
+        config: &SmoreConfig,
+        model: &HdcClassifier,
+        descriptor: &[f32],
+        tag: usize,
+    ) -> Result<Self> {
+        if model.dim() != config.dim || model.num_classes() != config.num_classes {
+            return Err(SmoreError::InvalidConfig {
+                what: format!(
+                    "enrolled model shape ({}, {}) disagrees with quantized model ({}, {})",
+                    model.num_classes(),
+                    model.dim(),
+                    config.num_classes,
+                    config.dim
+                ),
+            });
+        }
+        if descriptor.len() != config.dim {
+            return Err(SmoreError::InvalidConfig {
+                what: format!(
+                    "descriptor dimension {} disagrees with quantized dim {}",
+                    descriptor.len(),
+                    config.dim
+                ),
+            });
+        }
+        if base.iter().chain(earlier).any(|d| d.tag == tag) {
+            return Err(SmoreError::InvalidConfig {
+                what: format!("domain tag {tag} is already enrolled"),
+            });
+        }
+        let classes = model
+            .class_hypervectors()
+            .iter_rows()
+            .map(|row| ResidualPacked::from_dense(row, CLASS_PLANES))
+            .collect::<smore_packed::Result<Vec<_>>>()?;
+        let mut gram_rows = Vec::with_capacity(classes.len());
+        for (c, class) in classes.iter().enumerate() {
+            let mut row = Vec::with_capacity(base.len() + earlier.len() + 1);
+            for prior in base.iter().chain(earlier) {
+                // smore-lint: allow(panic_path) every packed domain holds num_classes planes, and c < num_classes
+                row.push(prior.classes[c].dot(class)?);
+            }
+            row.push(class.dot(class)?);
+            gram_rows.push(row);
+        }
+        Ok(Self { tag, classes, descriptor: PackedHypervector::from_signs(descriptor), gram_rows })
+    }
+
+    /// Bytes this domain holds: class planes, descriptor, Gram growth rows
+    /// and tag.
+    pub(crate) fn storage_bytes(&self) -> usize {
+        self.classes.iter().map(ResidualPacked::storage_bytes).sum::<usize>()
+            + self.descriptor.storage_bytes()
+            + self.gram_rows.iter().map(|r| r.len() * std::mem::size_of::<f32>()).sum::<usize>()
+            + std::mem::size_of::<usize>()
     }
 }
 
@@ -115,7 +188,7 @@ pub struct SnapshotDelta {
     pub(crate) dim: usize,
     pub(crate) num_classes: usize,
     pub(crate) base_tags: Vec<usize>,
-    pub(crate) domains: Vec<DeltaDomain>,
+    pub(crate) domains: Vec<PackedDomain>,
     /// Session metadata persisted alongside the model state.
     pub meta: DeltaMeta,
 }
@@ -124,10 +197,10 @@ impl SnapshotDelta {
     /// An empty delta pinned to `base`'s shape.
     pub fn new(base: &QuantizedSmore) -> Self {
         Self {
-            base_domains: base.domain_classes.len(),
+            base_domains: base.domains.len(),
             dim: base.config.dim,
             num_classes: base.config.num_classes,
-            base_tags: base.domain_tags.clone(),
+            base_tags: base.domain_tags().collect(),
             domains: Vec::new(),
             meta: DeltaMeta::default(),
         }
@@ -145,7 +218,7 @@ impl SnapshotDelta {
 
     /// The enrolled delta domains, in enrolment order — the overlay
     /// [`DeltaSmore::new`] chains onto the base.
-    pub fn domains(&self) -> &[DeltaDomain] {
+    pub fn domains(&self) -> &[PackedDomain] {
         &self.domains
     }
 
@@ -162,10 +235,10 @@ impl SnapshotDelta {
     ///
     /// Returns [`SmoreError::InvalidConfig`] on any mismatch.
     pub fn matches_base(&self, base: &QuantizedSmore) -> Result<()> {
-        if self.base_domains != base.domain_classes.len()
+        if self.base_domains != base.domains.len()
             || self.dim != base.config.dim
             || self.num_classes != base.config.num_classes
-            || self.base_tags != base.domain_tags
+            || !self.base_tags.iter().copied().eq(base.domain_tags())
         {
             return Err(SmoreError::InvalidConfig {
                 what: format!(
@@ -174,7 +247,7 @@ impl SnapshotDelta {
                     self.base_domains,
                     self.dim,
                     self.num_classes,
-                    base.domain_classes.len(),
+                    base.domains.len(),
                     base.config.dim,
                     base.config.num_classes
                 ),
@@ -183,13 +256,10 @@ impl SnapshotDelta {
         Ok(())
     }
 
-    /// Appends a freshly enrolled domain — the delta analog of
-    /// [`QuantizedSmore::enroll_domain`]. The class hypervectors are
-    /// residual-binarized with the same plane count, the descriptor is
-    /// sign-packed, and the Gram growth row is computed with the exact
-    /// dots (in the exact order) the full-clone growth performs, so
-    /// chained scoring stays bit-exact with it. On error the delta is
-    /// unchanged.
+    /// Appends a freshly enrolled domain, packed after the base's domains
+    /// and this delta's earlier ones by the packer that quantization uses,
+    /// so chained scoring stays bit-exact with quantizing a dense model
+    /// that enrolled the same domains. On error the delta is unchanged.
     ///
     /// # Errors
     ///
@@ -204,56 +274,9 @@ impl SnapshotDelta {
         tag: usize,
     ) -> Result<()> {
         self.matches_base(base)?;
-        if model.dim() != self.dim || model.num_classes() != self.num_classes {
-            return Err(SmoreError::InvalidConfig {
-                what: format!(
-                    "enrolled model shape ({}, {}) disagrees with quantized model ({}, {})",
-                    model.num_classes(),
-                    model.dim(),
-                    self.num_classes,
-                    self.dim
-                ),
-            });
-        }
-        if descriptor.len() != self.dim {
-            return Err(SmoreError::InvalidConfig {
-                what: format!(
-                    "descriptor dimension {} disagrees with quantized dim {}",
-                    descriptor.len(),
-                    self.dim
-                ),
-            });
-        }
-        if self.base_tags.contains(&tag) || self.domains.iter().any(|d| d.tag == tag) {
-            return Err(SmoreError::InvalidConfig {
-                what: format!("domain tag {tag} is already enrolled"),
-            });
-        }
-        let new_classes = model
-            .class_hypervectors()
-            .iter_rows()
-            .map(|row| ResidualPacked::from_dense(row, CLASS_PLANES))
-            .collect::<smore_packed::Result<Vec<_>>>()?;
-        let mut gram_rows = Vec::with_capacity(self.num_classes);
-        for (c, new_class) in new_classes.iter().enumerate() {
-            let mut row = Vec::with_capacity(self.base_domains + self.domains.len() + 1);
-            for j in 0..self.base_domains {
-                // smore-lint: allow(panic_path) j < base_domains and c < num_classes by the loop bounds
-                row.push(base.domain_classes[j][c].dot(new_class)?);
-            }
-            for earlier in &self.domains {
-                // smore-lint: allow(panic_path) every enrolled domain stores num_classes planes
-                row.push(earlier.classes[c].dot(new_class)?);
-            }
-            row.push(new_class.dot(new_class)?);
-            gram_rows.push(row);
-        }
-        self.domains.push(DeltaDomain {
-            tag,
-            classes: new_classes,
-            descriptor: PackedHypervector::from_signs(descriptor),
-            gram_rows,
-        });
+        let domain =
+            PackedDomain::pack(&base.domains, &self.domains, &base.config, model, descriptor, tag)?;
+        self.domains.push(domain);
         Ok(())
     }
 
@@ -262,18 +285,7 @@ impl SnapshotDelta {
     /// the eviction layer budgets against — it excludes everything shared
     /// with the base.
     pub fn storage_bytes(&self) -> usize {
-        self.domains
-            .iter()
-            .map(|d| {
-                d.classes.iter().map(ResidualPacked::storage_bytes).sum::<usize>()
-                    + d.descriptor.storage_bytes()
-                    + d.gram_rows
-                        .iter()
-                        .map(|r| r.len() * std::mem::size_of::<f32>())
-                        .sum::<usize>()
-                    + std::mem::size_of::<usize>()
-            })
-            .sum::<usize>()
+        self.domains.iter().map(PackedDomain::storage_bytes).sum::<usize>()
             + self.base_tags.len() * std::mem::size_of::<usize>()
             + self.meta.records.len() * std::mem::size_of::<DeltaEnrollmentRecord>()
     }
@@ -313,8 +325,8 @@ impl SnapshotDelta {
 /// Domains are indexed base first, then overlay domains in enrolment
 /// order. With an empty overlay this is the base model itself:
 /// [`QuantizedSmore`]'s [`Predictor`] impl calls it that way. With a
-/// tenant's [`SnapshotDelta::domains`] it scores bit-exactly like the full
-/// clone that enrolled the same domains.
+/// tenant's [`SnapshotDelta::domains`] it scores bit-exactly like
+/// quantizing a dense model that enrolled the same domains.
 ///
 /// The view does not check the pairing on every request. The overlay must
 /// extend this base: [`SnapshotDelta::new`] pins a delta to its base, and
@@ -324,7 +336,7 @@ impl SnapshotDelta {
 #[derive(Debug, Clone, Copy)]
 pub struct DeltaSmore<'a> {
     base: &'a QuantizedSmore,
-    overlay: &'a [DeltaDomain],
+    overlay: &'a [PackedDomain],
 }
 
 /// The error a scorer returns when an overlay does not extend its base.
@@ -335,41 +347,23 @@ fn overlay_mismatch() -> SmoreError {
 impl<'a> DeltaSmore<'a> {
     /// Chains `overlay` (empty, or a [`SnapshotDelta::domains`] built over
     /// `base`) onto `base`.
-    pub fn new(base: &'a QuantizedSmore, overlay: &'a [DeltaDomain]) -> Self {
+    pub fn new(base: &'a QuantizedSmore, overlay: &'a [PackedDomain]) -> Self {
         Self { base, overlay }
     }
 
     /// Total domains served: base `K` plus the overlay's.
     pub fn num_domains(&self) -> usize {
-        self.base.domain_classes.len() + self.overlay.len()
+        self.base.domains.len() + self.overlay.len()
     }
 
-    /// Every domain's class planes, in chained order.
-    fn class_planes(&self) -> impl Iterator<Item = &'a [ResidualPacked]> {
-        let overlay = self.overlay.iter().map(|d| d.classes.as_slice());
-        self.base.domain_classes.iter().map(Vec::as_slice).chain(overlay)
+    /// Every domain, in chained order: base, then overlay.
+    fn domains(&self) -> impl Iterator<Item = &'a PackedDomain> {
+        self.base.domains.iter().chain(self.overlay)
     }
 
-    /// External tag of the domain at chained index `index`.
-    fn domain_tag(&self, index: usize) -> Option<usize> {
-        match index.checked_sub(self.base.domain_tags.len()) {
-            None => self.base.domain_tags.get(index).copied(),
-            Some(i) => self.overlay.get(i).map(DeltaDomain::tag),
-        }
-    }
-
-    /// Gram entry `⟨C_j, C_m⟩` for class `class` over the chained domain
-    /// indexing: both-base entries come from the base matrix (copied
-    /// verbatim by the full-clone growth, so the values are identical);
-    /// any entry involving an overlay domain comes from the *later*
-    /// domain's stored growth row.
-    fn gram(&self, class: usize, j: usize, m: usize) -> Option<f32> {
-        let base_k = self.base.domain_classes.len();
-        let (lo, hi) = if j <= m { (j, m) } else { (m, j) };
-        match hi.checked_sub(base_k) {
-            None => self.base.class_gram.get(class)?.get(j * base_k + m).copied(),
-            Some(i) => self.overlay.get(i)?.gram_rows.get(class)?.get(lo).copied(),
-        }
+    /// The domain at chained index `index`.
+    fn domain(&self, index: usize) -> Option<&'a PackedDomain> {
+        self.domains().nth(index)
     }
 
     /// Encodes `window` into the packed query and computes the descriptor
@@ -381,9 +375,8 @@ impl<'a> DeltaSmore<'a> {
         self.base.encode_query_into(window, scratch)?;
         scratch.timings.encode_nanos = clamped_nanos(encode_start.elapsed());
         scratch.sims.clear();
-        let overlay = self.overlay.iter().map(|d| &d.descriptor);
-        for u in self.base.descriptors.iter().chain(overlay) {
-            scratch.sims.push(recover_cosine(scratch.query.similarity(u)?));
+        for domain in self.domains() {
+            scratch.sims.push(recover_cosine(scratch.query.similarity(&domain.descriptor)?));
         }
         let config = &self.base.config;
         let verdict = OodDetector::new(config.delta_star).decide(&scratch.sims);
@@ -412,20 +405,24 @@ impl<'a> DeltaSmore<'a> {
         scores.clear();
         for class in 0..self.base.config.num_classes {
             let mut dot_sum = 0.0f32;
-            for (planes, &w) in self.class_planes().zip(weights) {
+            for (domain, &w) in self.domains().zip(weights) {
                 if w > 0.0 {
-                    let plane = planes.get(class).ok_or_else(overlay_mismatch)?;
+                    let plane = domain.classes.get(class).ok_or_else(overlay_mismatch)?;
                     dot_sum += w * plane.dot_packed(query)?;
                 }
             }
             let mut norm_sq = 0.0f32;
-            for (j, &wj) in weights.iter().enumerate() {
+            for (j, (dj, &wj)) in self.domains().zip(weights).enumerate() {
                 if wj <= 0.0 {
                     continue;
                 }
-                for (m, &wm) in weights.iter().enumerate() {
+                for (m, (dm, &wm)) in self.domains().zip(weights).enumerate() {
                     if wm > 0.0 {
-                        norm_sq += wj * wm * self.gram(class, j, m).ok_or_else(overlay_mismatch)?;
+                        // ⟨C_j, C_m⟩ is the later domain's growth row at
+                        // the earlier index, for base and overlay alike.
+                        let (later, at) = if j < m { (dm, j) } else { (dj, m) };
+                        let gram = later.gram_rows.get(class).and_then(|row| row.get(at));
+                        norm_sq += wj * wm * gram.ok_or_else(overlay_mismatch)?;
                     }
                 }
             }
@@ -465,7 +462,7 @@ impl Predictor for DeltaSmore<'_> {
         prediction.is_ood = verdict.is_ood;
         prediction.delta_max = verdict.delta_max;
         prediction.best_domain =
-            self.domain_tag(verdict.best_domain).ok_or_else(overlay_mismatch)?;
+            self.domain(verdict.best_domain).map(PackedDomain::tag).ok_or_else(overlay_mismatch)?;
         prediction.domain_similarities.clear();
         prediction.domain_similarities.extend_from_slice(&scratch.sims);
         Ok(&scratch.prediction)

@@ -27,14 +27,16 @@
 //! popcount similarity) for a ~32× smaller footprint and an
 //! order-of-magnitude cheaper similarity kernel.
 //!
-//! Both models also adapt *online*: [`Smore::enroll_domain`] adds a new
-//! domain (descriptor + specialised model) to a fitted model without
+//! The dense model also adapts *online*: [`Smore::enroll_domain`] adds a
+//! new domain (descriptor + specialised model) to a fitted model without
 //! refitting ([`Smore::prepare_domain`] is the non-mutating variant used
-//! by multi-tenant serving), and [`SnapshotDelta::enroll_domain`] appends
-//! it to a per-tenant overlay that [`DeltaSmore`] scores on top of the
-//! frozen snapshot without copying it. The `smore_stream` crate builds the
-//! full streaming deployment on these: OOD buffering, drift detection and
-//! the multi-tenant `ServeEngine`.
+//! by multi-tenant serving). A frozen [`QuantizedSmore`] holds each of its
+//! domains as a [`PackedDomain`](delta::PackedDomain);
+//! [`SnapshotDelta::enroll_domain`] packs a new domain into the same
+//! record, in a per-tenant overlay that [`DeltaSmore`] scores on top of
+//! the frozen snapshot without copying it. The `smore_stream` crate builds
+//! the full streaming deployment on these: OOD buffering, drift detection
+//! and the multi-tenant `ServeEngine`.
 //!
 //! Every backend predicts, scores and evaluates through one trait,
 //! [`Predictor`] — the only prediction API, so bring it into scope

@@ -4,9 +4,9 @@
 //! [`QuantizedSmore`] is produced by [`crate::Smore::quantize`] from a
 //! fitted dense model. Descriptors and encoder codebooks are sign-quantized
 //! to one bit per dimension; the domain class hypervectors keep three
-//! scaled sign planes ([`ResidualPacked`]) because their per-dimension
-//! magnitudes carry the ensemble vote margins. The whole of Algorithm 1
-//! then runs on word-level logic:
+//! scaled sign planes ([`ResidualPacked`](smore_packed::ResidualPacked))
+//! because their per-dimension magnitudes carry the ensemble vote margins.
+//! The whole of Algorithm 1 then runs on word-level logic:
 //!
 //! - **Encoding** uses the packed n-gram encoder's *integer accumulator*,
 //!   which reproduces the dense accumulator exactly (every bipolar product
@@ -23,9 +23,9 @@
 //! - **Test-time ensembling** (§3.6, Eq. 3) never materialises the
 //!   ensembled model: `dot(Q, Σ_k w_k C_k) = Σ_k w_k·dot(Q, C_k)`, so each
 //!   class score is a weighted sum of integer-accumulated popcount dots
-//!   (one per residual plane), normalised by the ensemble norm from a
-//!   precomputed `K × K` Gram matrix per class — the packed analog of the
-//!   dense per-query cosine.
+//!   (one per residual plane), normalised by the ensemble norm from the
+//!   precomputed per-class Gram rows of the domains — the packed analog of
+//!   the dense per-query cosine.
 //!
 //! Model memory drops >10× (descriptors 32×) and similarity scoring
 //! replaces `3d` FLOPs with `d/64` XOR+popcount words per comparison.
@@ -33,13 +33,14 @@
 use std::f32::consts::FRAC_PI_2;
 
 use smore_hdc::encoder::MultiSensorEncoder;
-use smore_packed::{PackedHypervector, PackedNgramEncoder, ResidualPacked};
+use smore_packed::{PackedHypervector, PackedNgramEncoder};
 use smore_tensor::Matrix;
 
 use crate::config::SmoreConfig;
+use crate::delta::PackedDomain;
 use crate::predictor::{Predictor, ServeScratch};
 use crate::smore_model::{ChannelStats, Fitted, Prediction};
-use crate::{DeltaSmore, Result, SmoreError};
+use crate::{DeltaSmore, Result};
 
 /// Recovers a dense-cosine estimate from a sign-quantized similarity.
 ///
@@ -110,14 +111,11 @@ pub struct QuantizedSmore {
     /// Global training mean of the dense pipeline (`Centerer`), folded into
     /// the packing threshold.
     pub(crate) mean: Vec<f32>,
-    /// `[domain][class]` residual-binarized class hypervectors — a few
-    /// scaled sign planes each, so magnitudes survive quantization.
-    pub(crate) domain_classes: Vec<Vec<ResidualPacked>>,
-    pub(crate) descriptors: Vec<PackedHypervector>,
-    /// Per class `c`, the `K × K` Gram matrix `dot(C_j^c, C_k^c)` of the
-    /// quantized domain class hypervectors (row-major, `j·K + k`).
-    pub(crate) class_gram: Vec<Vec<f32>>,
-    pub(crate) domain_tags: Vec<usize>,
+    /// The fitted domains in order: per domain its residual-binarized
+    /// class hypervectors (a few scaled sign planes each, so magnitudes
+    /// survive quantization), sign-packed descriptor, tag and Gram growth
+    /// rows.
+    pub(crate) domains: Vec<PackedDomain>,
 }
 
 /// Sign planes per class hypervector: 3 bits/dim keeps the ensemble vote
@@ -127,117 +125,27 @@ pub(crate) const CLASS_PLANES: usize = 3;
 
 impl QuantizedSmore {
     /// Quantizes a fitted dense model: packs the encoder codebooks, then
-    /// appends the fitted domains in order through
-    /// [`enroll_domain`](Self::enroll_domain), which builds the per-class
-    /// Gram matrices one row at a time.
+    /// packs each fitted domain, in order, after the domains before it.
     pub(crate) fn from_fitted(
         config: &SmoreConfig,
         dense_encoder: &MultiSensorEncoder,
         fitted: &Fitted,
     ) -> Result<Self> {
-        let mut model = Self {
+        let mut domains: Vec<PackedDomain> = Vec::with_capacity(fitted.domain_models.len());
+        let descriptors = fitted.descriptors.as_matrix();
+        for ((model, descriptor), &tag) in
+            fitted.domain_models.iter().zip(descriptors.iter_rows()).zip(&fitted.domain_tags)
+        {
+            let domain = PackedDomain::pack(&domains, &[], config, model, descriptor, tag)?;
+            domains.push(domain);
+        }
+        Ok(Self {
             config: config.clone(),
             scaler: fitted.scaler.clone(),
             encoder: PackedNgramEncoder::from_dense(dense_encoder)?,
             mean: fitted.centerer.mean().to_vec(),
-            domain_classes: Vec::new(),
-            descriptors: Vec::new(),
-            class_gram: vec![Vec::new(); config.num_classes],
-            domain_tags: Vec::new(),
-        };
-        let descriptors = fitted.descriptors.as_matrix();
-        for ((domain, descriptor), &tag) in
-            fitted.domain_models.iter().zip(descriptors.iter_rows()).zip(&fitted.domain_tags)
-        {
-            model.enroll_domain(domain, descriptor, tag)?;
-        }
-        Ok(model)
-    }
-
-    /// Appends a domain to this model in place: the model's class
-    /// hypervectors are residual-binarized, the descriptor is sign-packed,
-    /// and every per-class Gram matrix grows from `K × K` to
-    /// `(K+1) × (K+1)` by computing only the new row/column of dots. The
-    /// packed encoder codebooks, channel scaler and centring mean are
-    /// untouched.
-    ///
-    /// This builds the fully materialized model that chaining a
-    /// [`SnapshotDelta`](crate::SnapshotDelta) over the unchanged base
-    /// must score bit for bit like — the reference the delta tests compare
-    /// against. Serving enrols tenant domains into a delta instead
-    /// ([`SnapshotDelta::enroll_domain`](crate::SnapshotDelta::enroll_domain)),
-    /// which never copies the base.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SmoreError::InvalidConfig`] when the model shape or
-    /// descriptor dimension disagrees with the frozen configuration, or
-    /// the tag is already enrolled.
-    pub fn enroll_domain(
-        &mut self,
-        model: &smore_hdc::model::HdcClassifier,
-        descriptor: &[f32],
-        tag: usize,
-    ) -> Result<()> {
-        if model.dim() != self.config.dim || model.num_classes() != self.config.num_classes {
-            return Err(SmoreError::InvalidConfig {
-                what: format!(
-                    "enrolled model shape ({}, {}) disagrees with quantized model ({}, {})",
-                    model.num_classes(),
-                    model.dim(),
-                    self.config.num_classes,
-                    self.config.dim
-                ),
-            });
-        }
-        if descriptor.len() != self.config.dim {
-            return Err(SmoreError::InvalidConfig {
-                what: format!(
-                    "descriptor dimension {} disagrees with quantized dim {}",
-                    descriptor.len(),
-                    self.config.dim
-                ),
-            });
-        }
-        if self.domain_tags.contains(&tag) {
-            return Err(SmoreError::InvalidConfig {
-                what: format!("domain tag {tag} is already enrolled"),
-            });
-        }
-        let new_classes = model
-            .class_hypervectors()
-            .iter_rows()
-            .map(|row| ResidualPacked::from_dense(row, CLASS_PLANES))
-            .collect::<smore_packed::Result<Vec<_>>>()?;
-        let k = self.domain_classes.len();
-        // Per class, the new Gram row: ⟨C_j, C_new⟩ for every earlier
-        // domain j, then the self-dot — each dot taken earlier-first, as
-        // the delta growth rows take them.
-        let mut rows = Vec::with_capacity(new_classes.len());
-        for (c, new_class) in new_classes.iter().enumerate() {
-            let mut row = Vec::with_capacity(k + 1);
-            for classes in &self.domain_classes {
-                // smore-lint: allow(panic_path) every domain holds num_classes planes, and c < num_classes
-                row.push(classes[c].dot(new_class)?);
-            }
-            row.push(new_class.dot(new_class)?);
-            rows.push(row);
-        }
-        for (gram, row) in self.class_gram.iter_mut().zip(&rows) {
-            let mut grown = Vec::with_capacity((k + 1) * (k + 1));
-            // Each old row gains its new-column entry (a K = 0 matrix has
-            // no rows; `max(1)` only keeps `chunks` from panicking on 0).
-            for (old_row, dot) in gram.chunks(k.max(1)).zip(row) {
-                grown.extend_from_slice(old_row);
-                grown.push(*dot);
-            }
-            grown.extend_from_slice(row);
-            *gram = grown;
-        }
-        self.descriptors.push(PackedHypervector::from_signs(descriptor));
-        self.domain_classes.push(new_classes);
-        self.domain_tags.push(tag);
-        Ok(())
+            domains,
+        })
     }
 
     /// Hypervector dimensionality `d`.
@@ -247,12 +155,12 @@ impl QuantizedSmore {
 
     /// Number of source domains `K`.
     pub fn num_domains(&self) -> usize {
-        self.domain_classes.len()
+        self.domains.len()
     }
 
     /// External domain tags, ordered by local model index.
-    pub fn domain_tags(&self) -> &[usize] {
-        &self.domain_tags
+    pub fn domain_tags(&self) -> impl Iterator<Item = usize> + '_ {
+        self.domains.iter().map(PackedDomain::tag)
     }
 
     /// Re-tunes the OOD threshold `δ*` without re-quantizing. The value is
@@ -262,26 +170,22 @@ impl QuantizedSmore {
     ///
     /// # Errors
     ///
-    /// Returns [`SmoreError::InvalidConfig`] for a non-cosine value.
+    /// Returns [`SmoreError::InvalidConfig`](crate::SmoreError::InvalidConfig)
+    /// for a non-cosine value.
     pub fn set_delta_star(&mut self, delta_star: f32) -> Result<()> {
         crate::config::validate_delta_star(delta_star)?;
         self.config.delta_star = delta_star;
         Ok(())
     }
 
-    /// Bytes held by the complete serving state: packed class hypervectors,
-    /// descriptors and encoder codebooks, plus the small dense epilogue
-    /// state the model cannot serve without (the `f32` centring mean, the
-    /// per-class Gram matrices and the channel scaler).
+    /// Bytes held by the complete serving state: the packed domains (class
+    /// hypervectors, descriptors, Gram growth rows and tags) and encoder
+    /// codebooks, plus the small dense epilogue state the model cannot
+    /// serve without (the `f32` centring mean and the channel scaler).
     pub fn storage_bytes(&self) -> usize {
-        self.domain_classes
-            .iter()
-            .flat_map(|classes| classes.iter().map(ResidualPacked::storage_bytes))
-            .sum::<usize>()
-            + self.descriptors.iter().map(PackedHypervector::storage_bytes).sum::<usize>()
+        self.domains.iter().map(PackedDomain::storage_bytes).sum::<usize>()
             + self.encoder.storage_bytes()
             + self.mean.len() * std::mem::size_of::<f32>()
-            + self.class_gram.iter().map(|g| g.len() * std::mem::size_of::<f32>()).sum::<usize>()
             + self.scaler.storage_bytes()
     }
 
@@ -339,7 +243,7 @@ impl Predictor for QuantizedSmore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Smore;
+    use crate::{Smore, SmoreError};
     use smore_data::generator::{generate, DomainSpec, GeneratorConfig};
     use smore_data::split;
     use smore_data::Dataset;
@@ -393,7 +297,7 @@ mod tests {
         let dense = fitted_model(&ds, &train);
         let q = dense.quantize().unwrap();
         assert_eq!(q.num_domains(), 3);
-        assert_eq!(q.domain_tags(), &[1, 2, 3]);
+        assert_eq!(q.domain_tags().collect::<Vec<_>>(), [1, 2, 3]);
         assert_eq!(q.dim(), 1024);
         // 3 domains × 4 classes of 3-plane residuals + 3 one-bit
         // descriptors (1024 bits = 128 bytes per plane), plus the shared
@@ -466,9 +370,7 @@ mod tests {
         // serving the swapped-in model.
         let (w, l, _) = ds.gather(&test[..40]);
         dense.enroll_domain(&w, &l, 0).unwrap();
-        let new_model = dense.domain_models().unwrap().last().unwrap().clone();
-        let descriptors = dense.descriptors().unwrap().as_matrix().clone();
-        quantized.enroll_domain(&new_model, descriptors.row(3), 0).unwrap();
+        quantized = dense.quantize().unwrap();
         for &i in &test[..10] {
             let w = ds.window(i);
             let p = quantized.predict_window_with(w, &mut scratch).unwrap().clone();
@@ -496,41 +398,21 @@ mod tests {
     }
 
     #[test]
-    fn enroll_domain_appends_and_matches_full_requantize() {
-        let ds = shifted_dataset(8);
-        let (train, test) = split::lodo(&ds, 0).unwrap();
-        let mut dense = fitted_model(&ds, &train);
-        let mut appended = dense.quantize().unwrap();
-
-        // Enrol the held-out domain online, then quantize both ways.
-        let (w, l, _) = ds.gather(&test[..40]);
-        dense.enroll_domain(&w, &l, 0).unwrap();
-        let new_model = dense.domain_models().unwrap().last().unwrap().clone();
-        let descriptors = dense.descriptors().unwrap().as_matrix().clone();
-        appended.enroll_domain(&new_model, descriptors.row(3), 0).unwrap();
-        let refrozen = dense.quantize().unwrap();
-
-        assert_eq!(appended.num_domains(), 4);
-        assert_eq!(appended.domain_tags(), refrozen.domain_tags());
-        // The appended snapshot and the full re-quantize agree exactly.
-        let windows: Vec<Matrix> = test[40..].iter().map(|&i| ds.window(i).clone()).collect();
-        let pa = appended.predict_batch(&windows).unwrap();
-        let pr = refrozen.predict_batch(&windows).unwrap();
-        assert_eq!(pa, pr, "incremental append must equal full re-quantization");
-    }
-
-    #[test]
-    fn enroll_domain_validates() {
+    fn delta_enrolment_validates() {
         let ds = shifted_dataset(9);
         let (train, _) = split::lodo(&ds, 0).unwrap();
         let dense = fitted_model(&ds, &train);
-        let mut quantized = dense.quantize().unwrap();
+        let quantized = dense.quantize().unwrap();
         let model = dense.domain_models().unwrap()[0].clone();
         let descriptor = dense.descriptors().unwrap().as_matrix().row(0).to_vec();
-        // Duplicate tag.
-        assert!(quantized.enroll_domain(&model, &descriptor, 1).is_err());
+        let mut delta = crate::SnapshotDelta::new(&quantized);
+        delta.enroll_domain(&quantized, &model, &descriptor, 77).unwrap();
+        let bytes = delta.to_artifact_bytes();
+        // Duplicate tag, in the base and in the overlay.
+        assert!(delta.enroll_domain(&quantized, &model, &descriptor, 1).is_err());
+        assert!(delta.enroll_domain(&quantized, &model, &descriptor, 77).is_err());
         // Wrong descriptor dimension.
-        assert!(quantized.enroll_domain(&model, &descriptor[..100], 77).is_err());
+        assert!(delta.enroll_domain(&quantized, &model, &descriptor[..100], 78).is_err());
         // Wrong model shape.
         let small = smore_hdc::model::HdcClassifier::new(smore_hdc::model::HdcClassifierConfig {
             dim: 64,
@@ -539,11 +421,15 @@ mod tests {
             epochs: 1,
         })
         .unwrap();
-        assert!(quantized.enroll_domain(&small, &descriptor, 77).is_err());
-        // Valid append works and keeps serving.
-        quantized.enroll_domain(&model, &descriptor, 77).unwrap();
-        assert_eq!(quantized.num_domains(), 4);
-        quantized.predict_window(ds.window(0)).unwrap();
+        assert!(delta.enroll_domain(&quantized, &small, &descriptor, 78).is_err());
+        // The refused calls left the delta as it was.
+        assert_eq!(delta.to_artifact_bytes(), bytes);
+        assert_eq!(delta.tags().collect::<Vec<_>>(), [77]);
+        // A valid enrolment still works and keeps serving.
+        delta.enroll_domain(&quantized, &model, &descriptor, 78).unwrap();
+        let chained = DeltaSmore::new(&quantized, delta.domains());
+        assert_eq!(chained.num_domains(), 5);
+        assert_eq!(chained.predict_window(ds.window(0)).unwrap().domain_similarities.len(), 5);
     }
 
     #[test]

@@ -127,7 +127,7 @@ fn quantized_round_trip_survives_ragged_dims_and_enrolment() {
     // ragged paths of packing, rotation and artifact validation.
     let ds = dataset(2, 12, 91);
     let mut dense = fitted(&ds, 200);
-    let mut quantized = dense.quantize().unwrap();
+    let quantized = dense.quantize().unwrap();
 
     let round = |q: &QuantizedSmore| QuantizedSmore::from_artifact_bytes(&q.to_artifact_bytes());
     let windows: Vec<Matrix> = (0..24).map(|i| ds.window(i * 3).clone()).collect();
@@ -138,25 +138,28 @@ fn quantized_round_trip_survives_ragged_dims_and_enrolment() {
         "ragged-dim round trip must be bit-exact"
     );
 
-    // Enrol a domain online, then round-trip the grown model.
+    // Enrol a domain online, quantize the grown model, then round-trip it.
     let idx: Vec<usize> = (48..72).collect();
     let (w, l, _) = ds.gather(&idx);
     dense.enroll_domain(&w, &l, 9).unwrap();
-    let models = dense.domain_models().unwrap();
-    let descriptors = dense.descriptors().unwrap().as_matrix().clone();
-    quantized.enroll_domain(models.last().unwrap(), descriptors.row(3), 9).unwrap();
-
-    let loaded = round(&quantized).unwrap();
+    let quantized = dense.quantize().unwrap();
+    let bytes = quantized.to_artifact_bytes();
+    let loaded = QuantizedSmore::from_artifact_bytes(&bytes).unwrap();
     assert_eq!(loaded.num_domains(), 4);
-    assert_eq!(loaded.domain_tags(), quantized.domain_tags());
+    assert!(loaded.domain_tags().eq(quantized.domain_tags()));
+    assert_eq!(loaded.to_artifact_bytes(), bytes, "re-save of the K = 4 model must be canonical");
     assert_eq!(
         quantized.predict_batch(&windows).unwrap(),
         loaded.predict_batch(&windows).unwrap(),
         "round trip with an enrolled domain must be bit-exact"
     );
-    // And the loaded model accepts further enrolment (tags validated).
-    let mut grown = loaded;
-    assert!(grown.enroll_domain(models.last().unwrap(), descriptors.row(3), 9).is_err());
+    // And a tenant delta over the loaded model validates tags against it.
+    let models = dense.domain_models().unwrap();
+    let descriptors = dense.descriptors().unwrap().as_matrix();
+    let mut delta = SnapshotDelta::new(&loaded);
+    assert!(delta.enroll_domain(&loaded, models.last().unwrap(), descriptors.row(3), 9).is_err());
+    delta.enroll_domain(&loaded, models.last().unwrap(), descriptors.row(3), 10).unwrap();
+    assert_eq!(delta.tags().collect::<Vec<_>>(), [10]);
 }
 
 #[test]
@@ -467,6 +470,7 @@ fn golden_fixture_locks_the_format() {
     );
 
     let loaded = QuantizedSmore::from_artifact_bytes(&committed).unwrap();
+    assert_eq!(loaded.to_artifact_bytes(), committed, "load → save must be canonical");
     let windows: Vec<Matrix> = (0..12).map(|i| ds.window(i * 6).clone()).collect();
     assert_eq!(
         loaded.predict_batch(&windows).unwrap(),
@@ -506,5 +510,42 @@ fn golden_fixture_locks_the_format() {
     ];
     for (name, predictions, expected) in batches {
         assert_eq!(batch_hash(&predictions), expected, "{name} predict_batch hash");
+    }
+}
+
+/// A Gram matrix is symmetric: each entry is one dot, taken once and
+/// written to both of its places. A crafted file whose entry (0, 1)
+/// differs from (1, 0), re-checksummed, is refused naming `class_gram`.
+#[test]
+fn unmirrored_gram_matrix_is_refused() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/quantized_v1.smore");
+    let mut bytes = std::fs::read(path).expect("golden fixture tests/fixtures/quantized_v1.smore");
+    // Walk the section table (16-byte header, then per section `id | crc |
+    // len` and the payload) to the Gram section, id 18.
+    let mut pos = 16usize;
+    let (crc_at, start, len) = loop {
+        let id = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap());
+        let len = u64::from_le_bytes(bytes[pos + 8..pos + 16].try_into().unwrap()) as usize;
+        if id == 18 {
+            break (pos + 4, pos + 16, len);
+        }
+        pos += 16 + len;
+    };
+    // Payload: class count, K, then class 0's row-major K × K matrix.
+    let k = u64::from_le_bytes(bytes[start + 8..start + 16].try_into().unwrap()) as usize;
+    assert!(k >= 2);
+    let at = start + 16 + 4;
+    let entry = f32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
+    bytes[at..at + 4].copy_from_slice(&(entry + 1.0).to_le_bytes());
+    let crc = smore::wire::crc32(&bytes[start..start + len]);
+    bytes[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
+
+    let err = QuantizedSmore::from_artifact_bytes(&bytes).unwrap_err();
+    match &err {
+        SmoreError::CorruptArtifact { section, reason } => {
+            assert_eq!(section, "class_gram", "{err}");
+            assert!(reason.contains("not mirrored"), "{err}");
+        }
+        other => panic!("expected CorruptArtifact, got {other:?}"),
     }
 }

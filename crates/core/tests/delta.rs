@@ -1,9 +1,9 @@
 //! Integration tests for per-tenant delta overlays: chained base+delta
-//! scoring must be **bit-exact** with enrolling the same domains into a
-//! full clone of the base (property-tested over random windows and a
-//! ragged dimension), and `DeltaV1` artifact bytes must round-trip
-//! exactly and fail typed — never panic — under truncation, bit flips and
-//! duplicate sections.
+//! scoring must be **bit-exact** with enrolling the same domains into the
+//! dense model and quantizing it again (property-tested over random
+//! windows and a ragged dimension), and `DeltaV1` artifact bytes must
+//! round-trip exactly and fail typed — never panic — under truncation, bit
+//! flips and duplicate sections.
 
 use std::sync::OnceLock;
 
@@ -62,15 +62,17 @@ fn perturbed_window(ds: &Dataset, index: usize, gain: f32, noise_seed: u64) -> M
 }
 
 /// Enrols the same two post-training domains both ways: into a delta
-/// overlay over `base` and into a full clone of `base`. Repeat enrolment
-/// seeds the second domain from the first, like the serving engine does.
+/// overlay over `base`, and into a clone of the dense model that is then
+/// quantized again. Repeat enrolment seeds the second domain from the
+/// first, like the serving engine does; the dense clone's `enroll_domain`
+/// seeds from its base and earlier models in the same order and scale.
 fn enroll_both(
     ds: &Dataset,
     dense: &Smore,
     base: &QuantizedSmore,
 ) -> (SnapshotDelta, QuantizedSmore) {
     let mut delta = SnapshotDelta::new(base);
-    let mut clone = base.clone();
+    let mut enrolled = dense.clone();
     let mut extra = Vec::new();
     for (round, (gain, tag)) in [(1.6f32, 7usize), (0.55, 11)].into_iter().enumerate() {
         let windows: Vec<Matrix> = (0..24)
@@ -79,13 +81,13 @@ fn enroll_both(
         let labels: Vec<usize> = (0..24).map(|i| ds.label((48 + i) % ds.len())).collect();
         let prep = dense.prepare_domain(&windows, &labels, &extra).unwrap();
         delta.enroll_domain(base, &prep.model, &prep.descriptor, tag).unwrap();
-        clone.enroll_domain(&prep.model, &prep.descriptor, tag).unwrap();
+        enrolled.enroll_domain(&windows, &labels, tag).unwrap();
         extra.push(prep.model);
     }
-    (delta, clone)
+    (delta, enrolled.quantize().unwrap())
 }
 
-/// `(dataset, base, delta-with-2-domains, full-clone-with-same-2-domains)`
+/// `(dataset, base, delta-with-2-domains, re-quantized-with-same-2-domains)`
 /// built once — proptest cases only pay for scoring.
 fn chained_fixture() -> &'static (Dataset, QuantizedSmore, SnapshotDelta, QuantizedSmore) {
     static FIXTURE: OnceLock<(Dataset, QuantizedSmore, SnapshotDelta, QuantizedSmore)> =
@@ -94,8 +96,8 @@ fn chained_fixture() -> &'static (Dataset, QuantizedSmore, SnapshotDelta, Quanti
         let ds = dataset(3, 16, 33);
         let dense = fitted(&ds, 512);
         let base = dense.quantize().unwrap();
-        let (delta, clone) = enroll_both(&ds, &dense, &base);
-        (ds, base, delta, clone)
+        let (delta, requantized) = enroll_both(&ds, &dense, &base);
+        (ds, base, delta, requantized)
     })
 }
 
@@ -111,25 +113,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The tentpole invariant: chaining base + delta performs the exact
-    /// same float operations in the exact same order as a full clone that
-    /// enrolled the same domains — per-class scores and predictions agree
-    /// to the bit on arbitrary sensor-shaped windows.
+    /// same float operations in the exact same order as quantizing a dense
+    /// model that enrolled the same domains — per-class scores and
+    /// predictions agree to the bit on arbitrary sensor-shaped windows.
     #[test]
-    fn chained_scoring_is_bit_exact_with_a_full_clone(
+    fn chained_scoring_is_bit_exact_with_a_requantized_model(
         index in 0usize..72,
         gain in 0.25f32..2.0,
         noise_seed in any::<u64>(),
     ) {
-        let (ds, base, delta, clone) = chained_fixture();
+        let (ds, base, delta, requantized) = chained_fixture();
         let chained = DeltaSmore::new(base, delta.domains());
         let w = perturbed_window(ds, index, gain, noise_seed);
         let mut scratch = ServeScratch::new();
         let (mut a, mut b) = (Vec::new(), Vec::new());
         chained.score_into(&w, &mut scratch, &mut a).unwrap();
-        clone.score_into(&w, &mut scratch, &mut b).unwrap();
-        assert_bits_equal(&a, &b, "chained vs full clone");
+        requantized.score_into(&w, &mut scratch, &mut b).unwrap();
+        assert_bits_equal(&a, &b, "chained vs re-quantized");
         let pa = chained.predict_window_with(&w, &mut scratch).unwrap().clone();
-        let pb = clone.predict_window(&w).unwrap();
+        let pb = requantized.predict_window(&w).unwrap();
         prop_assert_eq!(pa, pb);
     }
 
@@ -162,14 +164,14 @@ proptest! {
 }
 
 /// The ragged case: dim 200 leaves a 56-bit padded tail in every fourth
-/// word — chained popcounts and Gram borders must still match the full
-/// clone bit for bit.
+/// word — chained popcounts and Gram rows must still match the
+/// re-quantized model bit for bit.
 #[test]
 fn chained_scoring_survives_ragged_dims() {
     let ds = dataset(2, 12, 91);
     let dense = fitted(&ds, 200);
     let base = dense.quantize().unwrap();
-    let (delta, clone) = enroll_both(&ds, &dense, &base);
+    let (delta, requantized) = enroll_both(&ds, &dense, &base);
 
     let chained = DeltaSmore::new(&base, delta.domains());
     let windows: Vec<Matrix> = (0..24)
@@ -177,17 +179,17 @@ fn chained_scoring_survives_ragged_dims() {
         .collect();
     assert_eq!(
         chained.predict_batch(&windows).unwrap(),
-        clone.predict_batch(&windows).unwrap(),
-        "ragged-dim chained serving must equal the full clone bit for bit"
+        requantized.predict_batch(&windows).unwrap(),
+        "ragged-dim chained serving must equal the re-quantized model bit for bit"
     );
-    assert_eq!(chained.num_classes(), clone.num_classes());
+    assert_eq!(chained.num_classes(), requantized.num_classes());
 
     // And the ragged delta round-trips through its artifact.
     let loaded = SnapshotDelta::from_artifact_bytes(&delta.to_artifact_bytes()).unwrap();
     let rechained = DeltaSmore::new(&base, loaded.domains());
     assert_eq!(
         rechained.predict_batch(&windows).unwrap(),
-        clone.predict_batch(&windows).unwrap(),
+        requantized.predict_batch(&windows).unwrap(),
         "ragged-dim delta artifact round trip must stay bit-exact"
     );
 }

@@ -2,17 +2,17 @@
 //!
 //! [`AdaptationState`] owns everything about *deciding* to adapt — the OOD
 //! buffer, the drift detector, the calibrated drift threshold, the step
-//! counter, the enrolment cap/cooldown and the event log — while staying
+//! and tag counters and the enrolment cap/cooldown — while staying
 //! ignorant of *how* the adaptation is executed: [`crate::TenantSession`]
-//! trains the planned domain and appends it to the tenant's personal
-//! delta.
+//! trains the planned domain and appends it, with its enrolment record, to
+//! the tenant's personal delta.
 
 use smore::Prediction;
 use smore_tensor::Matrix;
 
 use crate::buffer::{BufferedQuery, OodBuffer};
 use crate::detector::DriftDetector;
-use crate::session::{AdaptationEvent, LabelStrategy, StreamingConfig};
+use crate::session::{LabelStrategy, StreamingConfig};
 
 /// Everything the caller needs to *execute* an enrolment that the state
 /// machine has decided on: the recent buffered windows, their labels
@@ -57,7 +57,6 @@ pub(crate) struct AdaptationState {
     next_tag: usize,
     step: usize,
     enrolled: usize,
-    events: Vec<AdaptationEvent>,
 }
 
 impl AdaptationState {
@@ -70,23 +69,23 @@ impl AdaptationState {
             next_tag,
             step: 0,
             enrolled: 0,
-            events: Vec::new(),
             config,
         }
     }
 
     /// Rebuilds the state machine of a suspended session from its
-    /// persisted metadata: the tag/step counters and the enrolment history
-    /// pick up exactly where eviction paused them, while the OOD buffer
-    /// and drift detector restart empty — buffered windows are
-    /// deliberately *not* persisted (they are raw tenant sensor data, and
-    /// re-accumulating a drift verdict is cheap next to storing them).
+    /// persisted metadata: the tag and step counters and the number of
+    /// enrolments made (`enrolled`, counted against the cap) pick up
+    /// exactly where eviction paused them, while the OOD buffer and drift
+    /// detector restart empty — buffered windows are deliberately *not*
+    /// persisted (they are raw tenant sensor data, and re-accumulating a
+    /// drift verdict is cheap next to storing them).
     pub(crate) fn resume(
         config: StreamingConfig,
         drift_delta: f32,
         next_tag: usize,
         step: usize,
-        events: Vec<AdaptationEvent>,
+        enrolled: usize,
     ) -> Self {
         Self {
             buffer: OodBuffer::new(config.buffer_capacity),
@@ -94,8 +93,7 @@ impl AdaptationState {
             drift_delta,
             next_tag,
             step,
-            enrolled: events.len(),
-            events,
+            enrolled,
             config,
         }
     }
@@ -107,10 +105,6 @@ impl AdaptationState {
 
     pub(crate) fn drift_delta(&self) -> f32 {
         self.drift_delta
-    }
-
-    pub(crate) fn events(&self) -> &[AdaptationEvent] {
-        &self.events
     }
 
     pub(crate) fn buffered(&self) -> usize {
@@ -191,13 +185,12 @@ impl AdaptationState {
         EnrollmentPlan { tag: self.next_tag, step, windows, labels, oracle_labelled }
     }
 
-    /// Commits a completed enrolment: logs the event, advances the tag,
-    /// counts it against the cap, and puts the detector into cooldown so
-    /// it re-arms on the post-swap distribution.
-    pub(crate) fn record(&mut self, event: AdaptationEvent) {
+    /// Commits a completed enrolment: advances the tag, counts it against
+    /// the cap, and puts the detector into cooldown so it re-arms on the
+    /// post-swap distribution.
+    pub(crate) fn record(&mut self) {
         self.detector.reset(self.config.cooldown);
         self.next_tag += 1;
         self.enrolled += 1;
-        self.events.push(event);
     }
 }

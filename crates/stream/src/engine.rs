@@ -25,7 +25,7 @@
 //!   tenant's delta domains, none for tenants that never drifted (the
 //!   overwhelming majority, who cost a few KiB each). Personalized
 //!   tenants cost KiB, not a full model copy, and score bit-exactly as if
-//!   the base had been cloned and appended to.
+//!   the dense model had enrolled their domains and been quantized again.
 //!
 //! Idle sessions do not have to stay resident at all:
 //! [`TenantSession::suspend`] serializes the delta into a tiny `DeltaV1`
@@ -46,7 +46,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use smore::artifact::{self, ArtifactKind};
-use smore::delta::DeltaDomain;
+use smore::delta::PackedDomain;
 use smore::{
     DeltaEnrollmentRecord, DeltaSmore, Predictor, QuantizedSmore, ServeScratch, Smore, SmoreError,
     SnapshotDelta,
@@ -56,7 +56,7 @@ use smore_obs::{Event, EventJournal, EventKind};
 use smore_tensor::Matrix;
 
 use crate::adapt::{AdaptationState, EnrollmentPlan};
-use crate::session::{AdaptationEvent, StreamOutcome, StreamingConfig};
+use crate::session::{StreamOutcome, StreamingConfig};
 use crate::Result;
 
 /// Served `δ_max` quantile over a calibration set (see
@@ -103,13 +103,9 @@ fn drift_delta_quantile(model: &QuantizedSmore, windows: &[Matrix], quantile: f3
     Ok(deltas[smore::metrics::nearest_rank_index(deltas.len(), f64::from(quantile))])
 }
 
-/// Seconds → whole nanoseconds for journal payloads (saturating).
-fn seconds_to_nanos(seconds: f64) -> u64 {
-    if seconds <= 0.0 {
-        0
-    } else {
-        (seconds * 1e9).min(u64::MAX as f64) as u64
-    }
+/// Time since `since` in whole nanoseconds, saturating.
+pub(crate) fn elapsed_nanos(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// The multi-tenant serving engine (see the [module docs](self)).
@@ -322,23 +318,11 @@ impl ServeEngine {
     pub fn resume_session(&self, tenant: u64, bytes: &[u8]) -> Result<TenantSession> {
         let delta = SnapshotDelta::from_artifact_bytes(bytes)?;
         delta.matches_base(&self.base)?;
-        let events: Vec<AdaptationEvent> = delta
-            .meta
-            .records
-            .iter()
-            .map(|r| AdaptationEvent {
-                tag: r.tag,
-                step: r.step,
-                enrolled_windows: r.enrolled_windows,
-                oracle_labelled: r.oracle_labelled,
-                enroll_seconds: r.enroll_nanos as f64 / 1e9,
-                swap_seconds: r.swap_nanos as f64 / 1e9,
-            })
-            .collect();
         // A delta written before any enrolment carries tag 0; never let a
         // stale counter reuse a base tag.
         let next_tag = delta.meta.next_tag.max(self.next_tag);
         let steps = delta.meta.steps;
+        let enrolled = delta.meta.records.len();
         // ordering: Relaxed — monotone stats counter, same as session().
         self.tenants.fetch_add(1, Ordering::Relaxed);
         Ok(TenantSession {
@@ -353,7 +337,7 @@ impl ServeEngine {
                 self.drift_delta,
                 next_tag,
                 steps,
-                events,
+                enrolled,
             ),
             journal: self.journal.clone(),
         })
@@ -364,7 +348,7 @@ impl ServeEngine {
 /// first enrolment. A session's delta extends its base by construction
 /// ([`SnapshotDelta::new`]) or by the check in
 /// [`ServeEngine::resume_session`], so serving never re-checks the pair.
-fn overlay(delta: &Option<SnapshotDelta>) -> &[DeltaDomain] {
+fn overlay(delta: &Option<SnapshotDelta>) -> &[PackedDomain] {
     delta.as_ref().map_or(&[], SnapshotDelta::domains)
 }
 
@@ -374,10 +358,11 @@ fn overlay(delta: &Option<SnapshotDelta>) -> &[DeltaDomain] {
 /// Serves from the shared base snapshot until this tenant's own drift
 /// detector fires; then the tenant's new domain goes into a compact
 /// personal [`SnapshotDelta`] — only the enrolled class planes,
-/// descriptor and Gram growth — which the chained scorer
-/// ([`DeltaSmore`]) serves on top of the base, bit-exact with a full base
-/// clone but ~3 orders of magnitude smaller. Other tenants never observe
-/// any of it.
+/// descriptor and Gram growth, with one [`DeltaEnrollmentRecord`] per
+/// enrolment — which the chained scorer ([`DeltaSmore`]) serves on top of
+/// the base, bit-exact with a re-quantized model that enrolled the same
+/// domains but ~3 orders of magnitude smaller than a copy of it. Other
+/// tenants never observe any of it.
 #[derive(Debug)]
 pub struct TenantSession {
     id: usize,
@@ -447,9 +432,12 @@ impl TenantSession {
         })
     }
 
-    /// Enrolments this tenant performed, in stream order.
-    pub fn events(&self) -> &[AdaptationEvent] {
-        self.state.events()
+    /// Enrolments this tenant performed, in stream order: its delta's
+    /// records, so a resumed session reports the same history, to the
+    /// nanosecond, as before it was suspended. Empty before the first
+    /// enrolment.
+    pub fn events(&self) -> &[DeltaEnrollmentRecord] {
+        self.delta.as_ref().map_or(&[], |delta| &delta.meta.records)
     }
 
     /// Total windows this tenant ingested.
@@ -571,7 +559,7 @@ impl TenantSession {
     /// shared frozen dense model (plus this tenant's earlier personal
     /// models), then append it to the personal delta — only the new class
     /// planes, descriptor and Gram growth; the base is never copied.
-    fn adapt(&mut self, plan: EnrollmentPlan) -> Result<AdaptationEvent> {
+    fn adapt(&mut self, plan: EnrollmentPlan) -> Result<DeltaEnrollmentRecord> {
         let t0 = Instant::now();
         // A resumed session's first enrolment rebuilds the dense models of
         // its earlier domains from the delta. A failed rebuild fails this
@@ -583,7 +571,7 @@ impl TenantSession {
             }
         }
         let prep = self.dense.prepare_domain(&plan.windows, &plan.labels, &self.personal_models)?;
-        let enroll_seconds = t0.elapsed().as_secs_f64();
+        let enroll_nanos = elapsed_nanos(t0);
 
         let t1 = Instant::now();
         let had_personal = self.delta.is_some();
@@ -594,41 +582,32 @@ impl TenantSession {
             self.delta = had_personal.then_some(delta);
             return Err(e);
         }
-        let swap_seconds = t1.elapsed().as_secs_f64();
-        delta.meta.next_tag = plan.tag + 1;
-        delta.meta.records.push(DeltaEnrollmentRecord {
+        let record = DeltaEnrollmentRecord {
             tag: plan.tag,
             step: plan.step,
             enrolled_windows: prep.samples,
             oracle_labelled: plan.oracle_labelled,
-            enroll_nanos: seconds_to_nanos(enroll_seconds),
-            swap_nanos: seconds_to_nanos(swap_seconds),
-        });
+            enroll_nanos,
+            swap_nanos: elapsed_nanos(t1),
+        };
+        delta.meta.next_tag = plan.tag + 1;
+        delta.meta.records.push(record);
         self.delta = Some(delta);
         self.personal_models.push(prep.model);
 
         self.emit(
             EventKind::EnrollFinished,
             plan.step,
-            prep.samples as u64,
-            plan.oracle_labelled as u64,
-            seconds_to_nanos(enroll_seconds),
+            record.enrolled_windows as u64,
+            record.oracle_labelled as u64,
+            record.enroll_nanos,
         );
-        self.emit(EventKind::SnapshotSwap, plan.step, 0, 0, seconds_to_nanos(swap_seconds));
+        self.emit(EventKind::SnapshotSwap, plan.step, 0, 0, record.swap_nanos);
         if !had_personal {
             self.emit(EventKind::Personalized, plan.step, self.personal_models.len() as u64, 0, 0);
         }
-
-        let event = AdaptationEvent {
-            tag: plan.tag,
-            step: plan.step,
-            enrolled_windows: prep.samples,
-            oracle_labelled: plan.oracle_labelled,
-            enroll_seconds,
-            swap_seconds,
-        };
-        self.state.record(event.clone());
-        Ok(event)
+        self.state.record();
+        Ok(record)
     }
 }
 
@@ -969,13 +948,7 @@ mod tests {
         assert!(resumed.is_personalized());
         assert_eq!(resumed.steps(), steps);
         assert_eq!(resumed.num_domains(), domains);
-        assert_eq!(resumed.events().len(), events.len());
-        for (a, b) in resumed.events().iter().zip(&events) {
-            assert_eq!(
-                (a.tag, a.step, a.enrolled_windows, a.oracle_labelled),
-                (b.tag, b.step, b.enrolled_windows, b.oracle_labelled)
-            );
-        }
+        assert_eq!(resumed.events(), events, "the history survives to the nanosecond");
         let after = resumed.serving_model().predict_batch(&eval).unwrap();
         assert_eq!(after, before, "resume must not move one bit of the serving path");
 

@@ -83,7 +83,7 @@ pub use buffer::{BufferedQuery, OodBuffer};
 pub use detector::DriftDetector;
 pub use engine::{ServeEngine, TenantSession};
 pub use persist::{FlushPolicy, StateDir};
-pub use session::{AdaptationEvent, LabelStrategy, StreamOutcome, StreamingConfig};
+pub use session::{LabelStrategy, StreamOutcome, StreamingConfig};
 pub use store::SessionStore;
 
 /// Result alias; streaming shares the core SMORE error vocabulary.

@@ -1,7 +1,7 @@
 //! Streaming adaptation settings and per-window outcomes, shared by every
 //! [`TenantSession`](crate::TenantSession).
 
-use smore::{Prediction, SmoreError};
+use smore::{DeltaEnrollmentRecord, Prediction, SmoreError};
 
 use crate::Result;
 
@@ -124,25 +124,6 @@ impl StreamingConfig {
     }
 }
 
-/// Record of one online enrolment (drift fired → domain added to the
-/// tenant's delta).
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptationEvent {
-    /// External tag assigned to the enrolled domain.
-    pub tag: usize,
-    /// Stream step at which drift fired.
-    pub step: usize,
-    /// Number of buffered windows the domain was enrolled from.
-    pub enrolled_windows: usize,
-    /// Of those, how many carried ground-truth labels (Oracle strategy).
-    pub oracle_labelled: usize,
-    /// Wall-clock seconds for dense enrolment (encode + descriptor +
-    /// adaptive training).
-    pub enroll_seconds: f64,
-    /// Wall-clock seconds to append the domain to the tenant's delta.
-    pub swap_seconds: f64,
-}
-
 /// Outcome of ingesting one window.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamOutcome {
@@ -151,8 +132,10 @@ pub struct StreamOutcome {
     pub prediction: Prediction,
     /// Whether the query was added to the OOD enrolment buffer.
     pub buffered: bool,
-    /// The enrolment this query triggered, if drift fired on it.
-    pub adapted: Option<AdaptationEvent>,
+    /// The enrolment this query triggered, if drift fired on it: the
+    /// record it appended to the tenant's delta, and so to
+    /// [`TenantSession::events`](crate::TenantSession::events).
+    pub adapted: Option<DeltaEnrollmentRecord>,
 }
 
 #[cfg(test)]
@@ -270,7 +253,8 @@ mod tests {
                 assert_eq!(event.tag, 3, "tags continue past the training tags");
                 assert!(event.enrolled_windows >= engine.config().min_enroll);
                 assert_eq!(event.oracle_labelled, 0, "self-labelled enrolment");
-                assert!(event.enroll_seconds >= 0.0 && event.swap_seconds >= 0.0);
+                assert!(event.enroll_nanos > 0, "training the domain takes time");
+                assert_eq!(tenant.events(), [event], "the history holds what ingest returned");
                 break;
             }
         }

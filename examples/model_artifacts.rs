@@ -132,8 +132,8 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
                 event.tag,
                 event.enrolled_windows,
                 event.step,
-                1e3 * event.enroll_seconds,
-                1e3 * event.swap_seconds
+                event.enroll_nanos as f64 / 1e6,
+                event.swap_nanos as f64 / 1e6
             );
         }
     }

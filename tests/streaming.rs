@@ -88,7 +88,7 @@ fn drift_enrolment_hot_swap_improves_new_domain_accuracy() {
         if let Some(event) = outcome.adapted {
             assert_eq!(item.segment, 1, "detector must not fire on in-distribution traffic");
             assert!(event.enrolled_windows >= 24);
-            assert!(event.enroll_seconds >= 0.0 && event.swap_seconds >= 0.0);
+            assert!(event.enroll_nanos > 0, "training the domain takes time");
             fired_step.get_or_insert(event.step);
         }
     }
