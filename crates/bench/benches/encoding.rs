@@ -1,11 +1,13 @@
 //! Micro-benchmarks of the two encoders: the structured multi-sensor
 //! temporal encoder (§3.3) and BaselineHD's random projection, plus the
-//! dense batch encode the serving fleet's training runs.
+//! dense batch encode the serving fleet's training runs and its quantiser
+//! stage on its own.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use smore_baselines::baseline_hd::ProjectionEncoder;
 use smore_data::split;
 use smore_hdc::encoder::{EncoderConfig, MultiSensorEncoder};
+use smore_hdc::memory::{LevelMemory, Quantization};
 use smore_serve::synthetic;
 use smore_tensor::Matrix;
 
@@ -44,6 +46,20 @@ fn bench_encoding(c: &mut Criterion) {
     .unwrap();
     c.bench_function("encode_batch_fleet_240_4096", |b| {
         b.iter(|| black_box(encoder.encode_batch(black_box(&windows), 2).unwrap()))
+    });
+
+    // The quantiser stage of one fleet window: 72 level selects (3
+    // channels × 24 steps) at d = 4096, with α spread over [0, 1].
+    let memory = LevelMemory::new(4096, 64, Quantization::Interpolate, 7).unwrap();
+    let alphas: Vec<f32> = (0..72).map(|i| i as f32 / 71.0).collect();
+    let mut out = vec![0.0f32; 4096];
+    c.bench_function("level_select_fleet_4096", |b| {
+        b.iter(|| {
+            for &alpha in &alphas {
+                memory.encode_into(black_box(alpha), &mut out);
+                black_box(&out);
+            }
+        })
     });
 }
 

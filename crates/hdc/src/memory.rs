@@ -249,6 +249,13 @@ impl LevelMemory {
 
     /// Writes the encoding of `alpha` into an existing buffer (no allocation).
     ///
+    /// Each dimension `d` reads `H_max[d]` when the select's `α ≥ u_d` and
+    /// `H_min[d]` otherwise. The choice is made without a branch: the
+    /// comparison becomes an all-ones or all-zeros mask that takes the
+    /// anchor's bits, so the codewords are bit for bit those of a
+    /// per-dimension `if`, and the call's time depends on neither `alpha`
+    /// nor the thresholds.
+    ///
     /// # Panics
     ///
     /// Panics if `out.len() != self.dim()`.
@@ -261,7 +268,9 @@ impl LevelMemory {
             .zip(self.h_max.as_slice())
             .zip(&self.thresholds)
         {
-            *o = if alpha >= thr { hi } else { lo };
+            // The thresholds are random, so a branch would mispredict on about half the dims.
+            let m = 0u32.wrapping_sub(u32::from(alpha >= thr));
+            *o = f32::from_bits((hi.to_bits() & m) | (lo.to_bits() & !m));
         }
     }
 

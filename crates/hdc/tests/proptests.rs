@@ -233,8 +233,10 @@ fn f32_bits(v: &[f32]) -> Vec<u32> {
 
 /// Alphas on, between and beyond the level grid: every grid point and the
 /// quarter points after it (at most ~130 grid steps, both ends included),
+/// the thresholds of ranks 0, 1, dim/2 and dim − 1 with the floats just
+/// below and above each (`Interpolate` ties, where `>` and `>=` part),
 /// random values in and around `[0, 1]`, and the clamped specials.
-fn codebook_alphas(levels: usize, seed: u64) -> Vec<f32> {
+fn codebook_alphas(dim: usize, levels: usize, seed: u64) -> Vec<f32> {
     let steps = levels - 1;
     let stride = steps.div_ceil(128).max(1);
     let mut alphas = Vec::new();
@@ -242,6 +244,10 @@ fn codebook_alphas(levels: usize, seed: u64) -> Vec<f32> {
         for frac in [0.0f32, 0.25, 0.5, 0.75] {
             alphas.push((l as f32 + frac) / steps as f32);
         }
+    }
+    for rank in [0, 1, dim / 2, dim - 1].into_iter().filter(|&rank| rank < dim) {
+        let threshold = (rank as f32 + 0.5) / dim as f32;
+        alphas.extend([threshold.next_down(), threshold, threshold.next_up()]);
     }
     let mut rng = init::rng(seed);
     alphas.extend((0..64).map(|_| rng.gen_range(-0.25f32..1.25)));
@@ -261,7 +267,7 @@ fn codebook_alphas(levels: usize, seed: u64) -> Vec<f32> {
 /// `encode` and `encode_into` of both modes against the stored ladder, bit
 /// for bit, before and after regenerating every third dimension.
 fn check_codebook(dim: usize, levels: usize, seed: u64) -> Result<(), TestCaseError> {
-    let alphas = codebook_alphas(levels, seed ^ 0xA1FA);
+    let alphas = codebook_alphas(dim, levels, seed ^ 0xA1FA);
     let dims: Vec<usize> = (0..dim).step_by(3).chain([dim + 5]).collect();
     for mode in [Quantization::Interpolate, Quantization::LevelFlip] {
         let mut memory = LevelMemory::new(dim, levels, mode, seed).unwrap();

@@ -9,9 +9,12 @@
 //! - [`fast_preset_mean_lodo_matches_paper_band`] is the full golden: the
 //!   fast benchmark preset at `d = 4096`, the configuration behind the
 //!   README's 82.5% (dense) / 82.3% (quantized) numbers, pinned at ±0.02.
-//!   It needs optimized code (~2 min in release, far longer unoptimized),
+//!   It needs optimized code (~1 min in release, far longer unoptimized),
 //!   so it is `#[ignore]`d by default and run by CI as
-//!   `cargo test --release --test golden_accuracy -- --include-ignored`.
+//!   `cargo test --release --test golden_accuracy -- --include-ignored --nocapture`.
+//!
+//! Both print their dense and quantized means to stderr before asserting,
+//! so a passing run shows the numbers too.
 //!
 //! Everything here is deterministic: fixed dataset seeds, fixed model
 //! seeds, no time- or thread-order-dependent state. A band violation means
@@ -58,6 +61,7 @@ fn tiny_preset_mean_lodo_is_pinned() {
     profile.scale = 0.02;
     let ds = presets::usc_had(&profile).unwrap();
     let (dense, quantized) = mean_lodo(&ds, 1024, 10);
+    eprintln!("tiny-preset mean LODO: dense {dense:.4}, quantized {quantized:.4}");
     assert!(
         (dense - 0.835).abs() <= 0.05,
         "tiny-preset dense mean LODO {dense:.4} left the golden band 0.835 ± 0.05"
@@ -73,7 +77,7 @@ fn tiny_preset_mean_lodo_is_pinned() {
 }
 
 #[test]
-#[ignore = "release-scale golden (~2 min optimized); CI runs it via --include-ignored"]
+#[ignore = "release-scale golden (~1 min optimized); CI runs it via --include-ignored"]
 fn fast_preset_mean_lodo_matches_paper_band() {
     // The headline numbers: fast benchmark preset (10% Table 1 budgets,
     // 4× downsampling), d = 4096, calibrated defaults. Measured: dense
@@ -81,6 +85,7 @@ fn fast_preset_mean_lodo_matches_paper_band() {
     // contract for both serving paths.
     let ds = presets::usc_had(&PresetProfile::fast()).unwrap();
     let (dense, quantized) = mean_lodo(&ds, 4096, 20);
+    eprintln!("fast-preset mean LODO: dense {dense:.4}, quantized {quantized:.4}");
     assert!(
         (dense - 0.825).abs() <= 0.02,
         "fast-preset dense mean LODO {dense:.4} left the golden band 0.825 ± 0.02"
